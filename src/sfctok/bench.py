@@ -38,25 +38,34 @@ def boundary_knn_oracle(positions, labels, n_superpoints, k, chunk=4096):
     lab = labels[order]
     m = n_superpoints
     boundaries = np.flatnonzero(np.diff(lab)) + 1
-    col_starts = np.concatenate(([0], boundaries))
-    col_labels = lab[col_starts]
+    row_starts = np.concatenate(([0], boundaries))
+    row_ends = np.append(boundaries, lab.size)
+    row_labels = lab[row_starts]
 
     min_d2 = np.full((m, m), np.inf)
     n = pos.shape[0]
     sq = np.einsum("ij,ij->i", pos, pos)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        block = pos[lo:hi]
-        d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (block @ pos.T)
-        per_label = np.minimum.reduceat(d2, col_starts, axis=1)  # (chunk, M')
-        row_lab = lab[lo:hi]
-        row_starts = np.concatenate(
-            ([0], np.flatnonzero(np.diff(row_lab)) + 1)
+        # the copy keeps numpy off its symmetric A @ A.T path when one chunk
+        # covers every point, so all sizes run the same general product
+        twice = pos @ pos[lo:hi].T.copy()
+        twice *= 2.0
+        d2 = sq[:, None] + sq[None, lo:hi]
+        d2 -= twice  # (N, chunk)
+        # label segments run down axis 0: each reduction sweeps whole
+        # contiguous rows, at a per-element cost independent of segment length
+        per_label = np.empty((row_starts.size, hi - lo))  # (M', chunk)
+        for i, (s, e) in enumerate(zip(row_starts, row_ends)):
+            np.minimum.reduce(d2[s:e], axis=0, out=per_label[i])
+        col_lab = lab[lo:hi]
+        col_starts = np.concatenate(
+            ([0], np.flatnonzero(np.diff(col_lab)) + 1)
         )
-        reduced = np.minimum.reduceat(per_label, row_starts, axis=0)
-        rows = row_lab[row_starts]
-        sub = min_d2[np.ix_(rows, col_labels)]
-        min_d2[np.ix_(rows, col_labels)] = np.minimum(sub, reduced)
+        reduced = np.minimum.reduceat(per_label, col_starts, axis=1)
+        cols = col_lab[col_starts]
+        sub = min_d2[np.ix_(row_labels, cols)]
+        min_d2[np.ix_(row_labels, cols)] = np.minimum(sub, reduced)
     np.fill_diagonal(min_d2, np.inf)
 
     # stable argsort breaks distance ties by neighbor index, i.e. (dist, dst)

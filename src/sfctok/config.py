@@ -16,7 +16,9 @@ class PipelineConfig:
     width: int = 256  # feature width d
     window: int = 64  # FFT window length L
     stride: int = 16  # FFT window stride R
-    k_low: int = 128  # retained low-frequency bins
+    # retained low-frequency bins; k_low >= window//2+1 keeps every bin, so
+    # the default gate is all ones and the enhancer's mix is the identity
+    k_low: int = 128
     bits: int = 10  # SFC quantization depth
     graph_stride: int = 16  # point-level voting stride r
     graph_window: int = 32  # point-level voting radius W

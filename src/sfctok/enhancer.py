@@ -4,6 +4,15 @@ Each curve ordering turns the token matrix into a 1D sequence; overlapping
 windows are rFFT'd along the token axis, gated in the spectrum, inverse
 transformed, and reassembled by squared-Hann overlap-add. The per-curve
 results are fused by uniform averaging and added back as a residual.
+
+The mix is linear along the token axis and the same for every channel, so a
+full window applies one fixed L x L matrix (the gated rFFT round trip of the
+identity, mean-centering included). Away from the sequence ends every block
+of R = stride output rows is then the same R x ((ceil(L/R) - 1) R + L) band
+operator applied to the input span that covers it, and all such blocks are
+evaluated by one batched matrix product over a strided view of the
+sequence. Only the rows near the two ends, where windows are missing or
+clipped, are mixed window by window through the FFT.
 """
 
 from __future__ import annotations
@@ -82,6 +91,61 @@ def _mix_window(window, gate, mean_center):
     return out
 
 
+def _edge_rows(seq, cfg: EnhancerConfig, lo, hi):
+    """Output rows lo..hi-1 by mixing each covering window on its own."""
+    k, d = seq.shape
+    L, R = cfg.window, cfg.stride
+    w = squared_hann(L)
+    acc = np.zeros((hi - lo, d))
+    acc_w = np.zeros(hi - lo)
+    acc_plain = np.zeros((hi - lo, d))
+    count = np.zeros(hi - lo)
+    first = max(0, -(-(lo - L + 1) // R))
+    for s0 in range(first * R, hi, R):
+        end = min(s0 + L, k)
+        mixed = _mix_window(seq[s0:end], cfg.gate, cfg.mean_center)
+        a, b = max(s0, lo), min(end, hi)
+        part = mixed[a - s0 : b - s0]
+        acc[a - lo : b - lo] += part * w[a - s0 : b - s0, None]
+        acc_w[a - lo : b - lo] += w[a - s0 : b - s0]
+        acc_plain[a - lo : b - lo] += part
+        count[a - lo : b - lo] += 1.0
+    out = np.empty_like(acc)
+    weighted_pos = acc_w > ZERO_WEIGHT_EPS
+    out[weighted_pos] = acc[weighted_pos] / acc_w[weighted_pos, None]
+    out[~weighted_pos] = acc_plain[~weighted_pos] / count[~weighted_pos, None]
+    return out
+
+
+def _band_operator(cfg: EnhancerConfig):
+    """Interior overlap-add as one (R, (m-1)R + L) matrix, m = ceil(L/R).
+
+    Output row qR + r is covered by the m windows starting at (q-t)R,
+    t = 0..m-1, where it sits at window row tR + r (when that is < L).
+    Each full window applies the fixed L x L matrix G (the gated spectral
+    mix of the identity), so the row is a combination of G's rows placed at
+    column offset (m-1-t)R of the input span starting at (q-m+1)R, weighted
+    by squared Hann and divided by the total weight, or averaged plainly
+    where that weight vanishes.
+    """
+    L, R = cfg.window, cfg.stride
+    m = -(-L // R)
+    # window rows tR + r >= L do not exist: pad them with zero weight
+    g = np.zeros((m * R, L))
+    g[:L] = _mix_window(np.eye(L), cfg.gate, cfg.mean_center)  # mixed = g @ window
+    hann = np.zeros(m * R)
+    hann[:L] = squared_hann(L)
+    covered = np.arange(m * R) < L
+    hann, covered = hann.reshape(m, R), covered.reshape(m, R)
+    weight = np.where(hann.sum(axis=0) > ZERO_WEIGHT_EPS, hann, covered)
+    coef = weight / weight.sum(axis=0)
+    band = np.zeros((R, (m - 1) * R + L))
+    for t in range(m):
+        off = (m - 1 - t) * R
+        band[:, off : off + L] += coef[t, :, None] * g[t * R : (t + 1) * R]
+    return band
+
+
 def windowed_mix(seq, cfg: EnhancerConfig):
     """Transform a K x d sequence window-by-window and overlap-add.
 
@@ -92,66 +156,32 @@ def windowed_mix(seq, cfg: EnhancerConfig):
     with no overlap) take the plain average of their covering windows'
     mixed values, so an all-ones gate is exactly the identity and an
     all-zeros gate annihilates.
+
+    Rows whose covering windows are all full and all present form whole
+    stride blocks; they come from one batched product of ``_band_operator``
+    with a strided view of the overlapping input spans. The head rows and
+    the rows from the first clipped window on are mixed window by window.
     """
-    seq = np.asarray(seq, dtype=np.float64)
+    seq = np.ascontiguousarray(seq, dtype=np.float64)
     k, d = seq.shape
     L, R = cfg.window, cfg.stride
-    starts = np.arange(0, k, R)
-    w = squared_hann(L)
-
-    acc = np.zeros((k, d))
-    acc_w = np.zeros(k)
-    acc_plain = np.zeros((k, d))
-    count = np.zeros(k)
-
-    full = starts[starts + L <= k]
-    if full.size:
-        windows = seq[full[:, None] + np.arange(L)]  # (n_win, L, d)
-        if cfg.mean_center:
-            means = windows.mean(axis=1, keepdims=True)
-            windows = windows - means
-        spectrum = rfft_forward(windows, axis=1) * cfg.gate[None, :, None]
-        mixed = rfft_inverse(spectrum, n=L, axis=1)
-        if cfg.mean_center:
-            mixed = mixed + means
-        weighted = mixed * w[None, :, None]
-        # windows whose starts differ by >= L are disjoint; group every
-        # ceil(L/R)-th window and scatter each group with one strided add
-        phases = -(-L // R)
-        step = phases * R
-        for p in range(phases):
-            sel = np.arange(p, full.shape[0], phases)
-            if sel.size == 0:
-                continue
-            s0 = int(full[sel[0]])
-            nw = sel.size
-            strip = np.zeros((nw * step, d))
-            strip_w = np.zeros(nw * step)
-            strip_p = np.zeros((nw * step, d))
-            strip_c = np.zeros(nw * step)
-            strip.reshape(nw, step, d)[:, :L, :] = weighted[sel]
-            strip_w.reshape(nw, step)[:, :L] = w
-            strip_p.reshape(nw, step, d)[:, :L, :] = mixed[sel]
-            strip_c.reshape(nw, step)[:, :L] = 1.0
-            end = min(k, s0 + nw * step)
-            acc[s0:end] += strip[: end - s0]
-            acc_w[s0:end] += strip_w[: end - s0]
-            acc_plain[s0:end] += strip_p[: end - s0]
-            count[s0:end] += strip_c[: end - s0]
-
-    for s0 in starts[starts + L > k]:
-        s0 = int(s0)
-        mixed = _mix_window(seq[s0:k], cfg.gate, cfg.mean_center)
-        n = k - s0
-        acc[s0:k] += mixed * w[:n, None]
-        acc_w[s0:k] += w[:n]
-        acc_plain[s0:k] += mixed
-        count[s0:k] += 1.0
+    m = -(-L // R)
+    n_full = (k - L) // R + 1 if k >= L else 0
+    head, tail = (m - 1) * R, n_full * R
+    if tail <= head:
+        return _edge_rows(seq, cfg, 0, k)
 
     out = np.empty_like(seq)
-    weighted_pos = acc_w > ZERO_WEIGHT_EPS
-    out[weighted_pos] = acc[weighted_pos] / acc_w[weighted_pos, None]
-    out[~weighted_pos] = acc_plain[~weighted_pos] / count[~weighted_pos, None]
+    n_blocks = n_full - m + 1
+    span = (m - 1) * R + L
+    spans = np.lib.stride_tricks.sliding_window_view(seq, span, axis=0)[::R]
+    np.matmul(
+        _band_operator(cfg),
+        spans[:n_blocks].transpose(0, 2, 1),
+        out=out[head:tail].reshape(n_blocks, R, d),
+    )
+    out[:head] = _edge_rows(seq, cfg, 0, head)
+    out[tail:] = _edge_rows(seq, cfg, tail, k)
     return out
 
 

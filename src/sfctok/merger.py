@@ -158,7 +158,8 @@ def sinkhorn(
             history.append(residual)
         if residual <= residual_tol:
             break
-    plan = np.exp(log_k + f[:, None] + g[None, :])
+    if iterations == 0:
+        plan = np.exp(log_k + f[:, None] + g[None, :])
     if not np.isfinite(plan).all():
         raise NonFiniteKernel("transport plan overflowed")
     return TransportPlan(

@@ -55,6 +55,61 @@ class TestRfft:
         assert np.isclose((x**2).sum(), spectral, rtol=1e-10)
 
 
+def naive_windowed_mix(seq, window, stride, gate, mean_center=False):
+    """Per-window oracle: rFFT, gate, irFFT, squared-Hann overlap-add."""
+    k, d = seq.shape
+    w = squared_hann(window)
+    acc = np.zeros((k, d))
+    acc_w = np.zeros(k)
+    acc_plain = np.zeros((k, d))
+    count = np.zeros(k)
+    for s0 in range(0, k, stride):
+        x = seq[s0 : s0 + window]
+        n = x.shape[0]
+        mean = x.mean(axis=0) if mean_center else np.zeros(d)
+        spectrum = np.fft.rfft(x - mean, axis=0) * gate[: n // 2 + 1, None]
+        mixed = np.fft.irfft(spectrum, n=n, axis=0) + mean
+        acc[s0 : s0 + n] += w[:n, None] * mixed
+        acc_w[s0 : s0 + n] += w[:n]
+        acc_plain[s0 : s0 + n] += mixed
+        count[s0 : s0 + n] += 1.0
+    out = acc_plain / count[:, None]
+    weighted = acc_w > 1e-12
+    out[weighted] = acc[weighted] / acc_w[weighted, None]
+    return out
+
+
+class TestWindowedMixOracle:
+    @pytest.mark.parametrize(
+        "k,window,stride",
+        [
+            (300, 64, 16),  # stride divides window
+            (300, 64, 24),  # stride does not divide window
+            (257, 20, 7),
+            (200, 16, 16),  # stride == window: zero-weight rows inside
+            (200, 17, 16),  # stride == window - 1: zero-weight seam rows
+            (100, 12, 1),
+            (40, 64, 16),  # K < window: one clipped window family only
+            (1, 8, 4),
+        ],
+    )
+    @pytest.mark.parametrize("mean_center", [False, True])
+    @pytest.mark.parametrize("gate_kind", ["lowpass", "random"])
+    def test_matches_naive(self, rng, k, window, stride, mean_center, gate_kind):
+        bins = window // 2 + 1
+        if gate_kind == "lowpass":
+            gate = lowpass_gate(window, max(1, bins // 3))
+        else:
+            gate = rng.uniform(0.0, 2.0, size=bins)
+        x = rng.normal(size=(k, 5)) + 3.0
+        cfg = EnhancerConfig(
+            window=window, stride=stride, gate=gate, mean_center=mean_center
+        )
+        got = windowed_mix(x, cfg)
+        want = naive_windowed_mix(x, window, stride, gate, mean_center)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestWindowedMix:
     @pytest.mark.parametrize("k", [1, 5, 63, 64, 65, 300])
     def test_identity_gate(self, rng, k):
