@@ -136,8 +136,6 @@ def build_parser():
     p = sub.add_parser("tokenize", help="run the full pipeline on a PLY scene")
     p.add_argument("cloud", help="input .ply file")
     p.add_argument("--labels", help="superpoint label file (text or binary i32)")
-    p.add_argument("--voxel-fallback", action="store_true",
-                   help="segment with the voxel fallback (default when no labels)")
     p.add_argument("--weights", help="weights .npz (default: seeded init)")
     p.add_argument("--out", required=True, help="output token file")
     _add_config_flags(p)

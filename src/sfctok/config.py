@@ -24,6 +24,9 @@ class PipelineConfig:
     graph_window: int = 32  # point-level voting radius W
     graph_k: int = 8  # neighbors kept per superpoint
     tau: float = 0.05  # Sinkhorn temperature
+    # Sinkhorn sweep cap and residual tolerance; on large scenes (tens of
+    # thousands of superpoints) 5 sweeps stop well above the tolerance, which
+    # PipelineResult.sinkhorn_converged reports as False
     sinkhorn_iters: int = 5
     sinkhorn_tol: float = 1e-6
     svd_rank: int = 32

@@ -16,6 +16,7 @@ from .errors import (
     FeatureRowMismatch,
     InvalidShape,
     NonFiniteCoordinate,
+    NonFiniteFeature,
 )
 
 SENTINEL = -1
@@ -109,15 +110,25 @@ def validate_cloud(cloud: PointCloud) -> None:
         raise FeatureRowMismatch(f"positions must be (N, 3), got {pos.shape}")
     if pos.shape[0] < 1:
         raise EmptyCloud("cloud has no points")
-    bad = ~np.isfinite(pos).all(axis=1)
-    if bad.any():
-        raise NonFiniteCoordinate(int(np.flatnonzero(bad)[0]))
+    row = _first_non_finite_row(pos)
+    if row is not None:
+        raise NonFiniteCoordinate(row)
     if feat.ndim != 2 or feat.shape[0] != pos.shape[0]:
         raise FeatureRowMismatch(
             f"{pos.shape[0]} positions but {feat.shape[0]} feature rows"
         )
     if feat.shape[1] < 1:
         raise FeatureRowMismatch("feature width must be >= 1")
+    row = _first_non_finite_row(feat)
+    if row is not None:
+        raise NonFiniteFeature(row)
+
+
+def _first_non_finite_row(a):
+    """Index of the first row of ``a`` holding a NaN or inf, else None."""
+    if np.isfinite(a).all():  # the common case, without a per-row pass
+        return None
+    return int(np.flatnonzero(~np.isfinite(a).all(axis=1))[0])
 
 
 def seeded_init(seed: int, shapes) -> SeededWeights:

@@ -16,6 +16,12 @@ class NonFiniteCoordinate(SfcTokError):
         super().__init__(f"non-finite coordinate at row {index}")
 
 
+class NonFiniteFeature(SfcTokError):
+    def __init__(self, index):
+        self.index = index
+        super().__init__(f"non-finite feature at row {index}")
+
+
 class FeatureRowMismatch(SfcTokError):
     pass
 
@@ -52,6 +58,11 @@ class KTooLarge(SfcTokError):
 
 # enhancer
 class CurveLengthMismatch(SfcTokError):
+    pass
+
+
+# graph
+class InvalidVoteIds(SfcTokError):
     pass
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import SENTINEL
+from .errors import InvalidVoteIds
 
 
 @dataclass(frozen=True)
@@ -98,21 +99,35 @@ def candidate_pair_count(n_points, stride, radius, n_curves=4):
 
 
 def coalesce(batch: VoteBatch) -> VoteBatch:
-    """Sum duplicate (src, dst) votes; output sorted by (src asc, dst asc)."""
+    """Sum duplicate (src, dst) votes; output sorted by (src asc, dst asc).
+
+    Each pair is packed into one int64 key ``src * n + dst`` with ``n`` the
+    largest id plus one, so a single argsort groups the duplicates. Ids must
+    be nonnegative and ``n * n`` must fit in int64.
+    """
     if batch.n_edges == 0:
         return VoteBatch(
             src=batch.src, dst=batch.dst, votes=batch.votes, coalesced=True
         )
-    order = np.lexsort((batch.dst, batch.src))
-    src = batch.src[order]
-    dst = batch.dst[order]
-    votes = batch.votes[order]
-    new_group = np.empty(src.shape[0], dtype=bool)
+    src = batch.src.astype(np.int64, copy=False)
+    dst = batch.dst.astype(np.int64, copy=False)
+    if min(src.min(), dst.min()) < 0:
+        raise InvalidVoteIds("vote endpoints must be nonnegative superpoint ids")
+    n = int(max(src.max(), dst.max())) + 1
+    if n * n > 2**63:
+        raise InvalidVoteIds(
+            f"superpoint id {n - 1} too large to pack (src, dst) in int64"
+        )
+    key = src * n + dst
+    order = np.argsort(key)
+    key = key[order]
+    new_group = np.empty(key.shape[0], dtype=bool)
     new_group[0] = True
-    new_group[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    np.not_equal(key[1:], key[:-1], out=new_group[1:])
     starts = np.flatnonzero(new_group)
-    summed = np.add.reduceat(votes, starts)
-    return VoteBatch(src=src[starts], dst=dst[starts], votes=summed, coalesced=True)
+    summed = np.add.reduceat(batch.votes[order], starts)
+    key = key[starts]
+    return VoteBatch(src=key // n, dst=key % n, votes=summed, coalesced=True)
 
 
 def rerank_topk(batch: VoteBatch, centers, k) -> SparseVoteGraph:

@@ -185,12 +185,6 @@ def load_labels(path, n_points):
     return labels
 
 
-def compact_labels_to_partition(labels, positions):
-    from .core import build_partition
-
-    return build_partition(labels, positions)
-
-
 def write_token_file(path, tokens: TokenMatrix):
     feats = np.ascontiguousarray(tokens.feats, dtype="<f8")
     centers = np.ascontiguousarray(tokens.centers, dtype="<f8")

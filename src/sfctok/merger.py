@@ -2,8 +2,11 @@
 
 Features are smoothed over the normalized vote graph, embedded by a
 truncated SVD, projected to cluster logits, and softly assigned to T
-output tokens by a log-domain Sinkhorn solver with importance-score row
-marginals. Also hosts the k-means instance-proposal clustering.
+output tokens by entropic optimal transport with importance-score row
+marginals. The transport solver is Sinkhorn matrix scaling (two
+matrix-vector products per sweep) on a row-shifted kernel, kept stable at
+small temperatures by log-domain absorption of the scalings into the
+potentials. Also hosts the k-means instance-proposal clustering.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ class TransportPlan:
     nu: np.ndarray  # (T,)
     iterations: int
     residual: float
+    converged: bool = False  # residual <= the solver's residual_tol
     residual_history: np.ndarray = None
 
 
@@ -119,11 +123,28 @@ def sinkhorn(
     residual_tol=1e-9,
     track_history=False,
 ) -> TransportPlan:
-    """Log-domain Sinkhorn scaling of the kernel exp(logits / tau).
+    """Sinkhorn scaling of the kernel exp(logits / tau) to marginals mu, nu.
 
-    Higher logit means more affinity (the cost is -logits). Alternates row
-    and column potential updates until the worst marginal violation drops
-    below ``residual_tol`` or the iteration cap is reached.
+    Higher logit means more affinity (the cost is -logits). The plan is
+    ``u K v`` with ``K = exp(logits / tau + f + g)``: the kernel is formed
+    once, shifted per row so every row peaks at 1, with the shift held in
+    the row potential ``f``. Each sweep is two matrix-vector products,
+    ``u = mu / (K v)`` then ``v = nu / (K^T u)``; the row violation comes
+    from the ``K v`` the next sweep needs anyway, and the plan is formed once
+    when the sweeps stop.
+
+    Stabilization stays in the same loop (log-domain absorption, Schmitzer
+    2019): when a scaling leaves ``exp(+-200)`` or a product ``K v``
+    / ``K^T u`` has a zero, subnormal or non-finite entry, ``log u`` and
+    ``log v`` move into ``f`` and ``g`` and ``K`` is rebuilt. A starved row
+    or column takes its potential from a log-domain update of that row or
+    column alone. Mathematically every sweep equals the log-domain update
+    ``f = log mu - LSE_j(logits / tau + g)`` then
+    ``g = log nu - LSE_i(logits / tau + f)``.
+
+    Sweeps stop when the worst marginal violation drops to ``residual_tol``
+    or after ``max_iters``; ``converged`` reports which. With
+    ``max_iters=0`` the plan is the unscaled kernel ``exp(logits / tau)``.
     """
     logits = np.asarray(logits, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
@@ -136,30 +157,51 @@ def sinkhorn(
         if marg.shape != (size,) or (marg <= 0).any() or abs(marg.sum() - 1.0) > 1e-8:
             raise InvalidMarginals(f"{name} must be a positive simplex vector")
 
-    log_k = logits / tau
-    log_mu = np.log(mu)
-    log_nu = np.log(nu)
-    f = np.zeros(mu.shape[0])
+    k = logits / tau
+    f = -k.max(axis=1)
     g = np.zeros(nu.shape[0])
+    k += f[:, None]
+    np.exp(k, out=k)
+    u = np.ones(mu.shape[0])
+    v = np.ones(nu.shape[0])
+    kv = k @ v
 
     history = []
     iterations = 0
     residual = np.inf
-    for it in range(max_iters):
-        f = log_mu - logsumexp(log_k + g[None, :], axis=1)
-        g = log_nu - logsumexp(log_k + f[:, None], axis=0)
-        iterations = it + 1
-        plan = np.exp(log_k + f[:, None] + g[None, :])
-        residual = max(
-            np.abs(plan.sum(axis=1) - mu).max(),
-            np.abs(plan.sum(axis=0) - nu).max(),
-        )
-        if track_history:
-            history.append(residual)
-        if residual <= residual_tol:
-            break
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for it in range(max_iters):
+            u = mu / kv
+            if _needs_absorb(u, kv):
+                log_k = logits / tau
+                g = g + np.log(v)
+                f = _absorb(log_k, f, u, kv, np.log(mu), g)
+                k = np.exp(log_k + f[:, None] + g[None, :])
+                u = np.ones(mu.shape[0])
+                v = np.ones(nu.shape[0])
+            ktu = k.T @ u
+            v = nu / ktu
+            if _needs_absorb(v, ktu):
+                log_k = logits / tau
+                f = f + np.log(u)
+                g = _absorb(log_k.T, g, v, ktu, np.log(nu), f)
+                k = np.exp(log_k + f[:, None] + g[None, :])
+                u = np.ones(mu.shape[0])
+                v = np.ones(nu.shape[0])
+                ktu = k.T @ u
+            kv = k @ v
+            iterations = it + 1
+            residual = max(np.abs(u * kv - mu).max(), np.abs(v * ktu - nu).max())
+            if track_history:
+                history.append(residual)
+            if residual <= residual_tol:
+                break
     if iterations == 0:
-        plan = np.exp(log_k + f[:, None] + g[None, :])
+        plan = np.exp(logits / tau)
+    else:
+        plan = k
+        plan *= u[:, None]
+        plan *= v[None, :]
     if not np.isfinite(plan).all():
         raise NonFiniteKernel("transport plan overflowed")
     return TransportPlan(
@@ -168,8 +210,39 @@ def sinkhorn(
         nu=nu,
         iterations=iterations,
         residual=float(residual),
+        converged=bool(residual <= residual_tol),
         residual_history=np.array(history) if track_history else None,
     )
+
+
+# Between absorptions the scalings stay within exp(+-_ABSORB_NATS) of 1, so a
+# kernel entry that underflowed (< exp(-745)) stands for a plan entry below
+# exp(2 * _ABSORB_NATS - 745) = exp(-345): far under float64 resolution.
+_ABSORB_NATS = 200.0
+_SCALE_LO = np.exp(-_ABSORB_NATS)
+_SCALE_HI = np.exp(_ABSORB_NATS)
+_TINY = np.finfo(np.float64).tiny
+
+
+def _needs_absorb(scale, prod):
+    """True when a scaling left exp(+-_ABSORB_NATS) or its product starved."""
+    return not (
+        ((scale >= _SCALE_LO) & (scale <= _SCALE_HI)).all() and (prod >= _TINY).all()
+    )
+
+
+def _absorb(log_k, pot, scale, prod, log_marg, other):
+    """Row potential ``pot + log(scale)`` of ``log_k`` given the column
+    potential ``other``. A row whose kernel product ``prod`` is zero,
+    subnormal or non-finite (starved) takes the log-domain update
+    ``log_marg - LSE(log_k + other)`` instead."""
+    pot = pot + np.log(scale)
+    starved = ~(prod >= _TINY)
+    if starved.any():
+        pot[starved] = log_marg[starved] - logsumexp(
+            log_k[starved] + other[None, :], axis=1
+        )
+    return pot
 
 
 def soft_pool(plan: TransportPlan, tokens: TokenMatrix, normalize=False) -> TokenMatrix:

@@ -9,8 +9,14 @@ import numpy as np
 
 from . import enhancer, graph, merger, sfc, tokenizer
 from .config import PipelineConfig
-from .core import PointCloud, SuperpointPartition, TokenMatrix, seeded_init
-from .errors import StageError, SuggestLowerT
+from .core import (
+    PointCloud,
+    SuperpointPartition,
+    TokenMatrix,
+    seeded_init,
+    validate_cloud,
+)
+from .errors import LengthMismatch, StageError, SuggestLowerT
 
 
 @dataclass
@@ -39,6 +45,7 @@ class PipelineResult:
     edge_count: int
     sinkhorn_residual: float
     sinkhorn_iterations: int
+    sinkhorn_converged: bool  # residual <= cfg.sinkhorn_tol within the iteration cap
     stage_seconds: dict = field(default_factory=dict)
 
     def summary_lines(self):
@@ -51,6 +58,7 @@ class PipelineResult:
             f"edge_count={self.edge_count}",
             f"sinkhorn_residual={self.sinkhorn_residual:.6e}",
             f"sinkhorn_iterations={self.sinkhorn_iterations}",
+            f"sinkhorn_converged={self.sinkhorn_converged}",
         ]
         lines += [
             f"seconds_{name}={secs:.4f}" for name, secs in self.stage_seconds.items()
@@ -96,7 +104,17 @@ def run_pipeline(
     When ``partition`` is None the voxel fallback segments the (already
     subsampled) cloud. Labels passed in must align with the subsampled cloud;
     callers providing external labels should subsample beforehand.
+
+    The cloud and the partition's label count are checked before any stage
+    runs; bad input raises a typed ``SfcTokError`` naming it.
     """
+    validate_cloud(cloud)
+    n_scene = min(cloud.n_points, cfg.sample_n)
+    if partition is not None and partition.labels.shape[0] != n_scene:
+        raise LengthMismatch(
+            f"partition has {partition.labels.shape[0]} labels "
+            f"for a {n_scene}-point scene"
+        )
     timings = {}
 
     with _Stage("subsample", timings):
@@ -169,6 +187,7 @@ def run_pipeline(
         edge_count=int(vote_graph.dst.shape[0]),
         sinkhorn_residual=plan.residual,
         sinkhorn_iterations=plan.iterations,
+        sinkhorn_converged=plan.converged,
         stage_seconds=timings,
     )
 

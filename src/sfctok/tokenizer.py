@@ -138,13 +138,6 @@ def coordinate_prompt(query, cloud: PointCloud, k: int, cfg: FourierEmbedConfig)
     return (q_emb + k * neigh_mean) / (k + 1)
 
 
-def knn_indices(query, positions, k):
-    """Exact Euclidean k-nearest-neighbor indices (cKDTree-backed)."""
-    tree = cKDTree(positions)
-    _, idx = tree.query(np.atleast_2d(query), k=k)
-    return idx.reshape(-1, k)
-
-
 def voxel_superpoints(cloud: PointCloud, cell: float) -> SuperpointPartition:
     """Fallback segmentation: points sharing a voxel cell share a label.
 

@@ -237,6 +237,29 @@ def test_criterion_5_sinkhorn():
     report(5, f"Sinkhorn residual, oracle, shift, wide-tau ({elapsed:.1f}s)", ok and elapsed < 60)
 
 
+def test_sinkhorn_small_tau_matches_log_reference():
+    # exp(logits / tau) overflows, and column 0 lies > 745 nats under every
+    # row maximum, so it underflows to zero in the row-shifted kernel: plain
+    # scaling cannot represent this plan without log-domain absorption
+    rng = np.random.Generator(np.random.PCG64(55))
+    m, t, tau = 40, 6, 0.01
+    logits = rng.normal(scale=3.0, size=(m, t))
+    logits[:, 0] -= 30.0
+    log_k = logits / tau
+    assert log_k.max() > 710
+    assert (log_k[:, 0] - log_k.max(axis=1)).max() < -745
+    mu = rng.uniform(0.5, 1.5, size=m)
+    mu /= mu.sum()
+    nu = rng.uniform(0.5, 1.5, size=t)
+    nu /= nu.sum()
+    for iters in (1, 3, 20, 200):
+        plan = sinkhorn(logits, mu, nu, tau=tau, max_iters=iters, residual_tol=0.0)
+        ref = _log_reference_sinkhorn(logits, mu, nu, tau, iters)
+        assert plan.iterations == iters
+        assert np.isfinite(plan.plan).all()
+        assert np.abs(plan.plan - ref).max() <= 1e-7
+
+
 def test_criterion_6_mass_conservation():
     rng = np.random.Generator(np.random.PCG64(6))
     ok = True

@@ -1,11 +1,20 @@
 """End-to-end command line and pipeline tests on small synthetic scenes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sfctok.cli import main
 from sfctok.config import PipelineConfig
-from sfctok.errors import SuggestLowerT
+from sfctok.core import build_partition
+from sfctok.errors import (
+    LengthMismatch,
+    NonFiniteCoordinate,
+    NonFiniteFeature,
+    StageError,
+    SuggestLowerT,
+)
 from sfctok.io import read_token_file, save_ply
 from sfctok.pipeline import run_pipeline, subsample
 from sfctok.synth import make_scene
@@ -61,6 +70,42 @@ class TestPipeline:
         assert isinstance(cause, SuggestLowerT) or isinstance(
             getattr(cause, "cause", None), SuggestLowerT
         )
+
+    def test_result_reports_convergence(self):
+        cloud = make_scene(2000, seed=3)
+        cfg = PipelineConfig(
+            sample_n=2000, tokens=12, width=32, svd_rank=8, voxel_cell=0.5
+        )
+        result = run_pipeline(cloud, cfg)
+        assert result.sinkhorn_converged == (result.sinkhorn_residual <= cfg.sinkhorn_tol)
+        assert f"sinkhorn_converged={result.sinkhorn_converged}" in result.summary_lines()
+
+    @pytest.mark.parametrize("array, row, error", [
+        ("positions", 17, NonFiniteCoordinate),
+        ("features", 1234, NonFiniteFeature),
+    ])
+    def test_non_finite_input_rejected_at_entry(self, array, row, error):
+        cloud = make_scene(2000, seed=3)
+        bad = getattr(cloud, array).copy()
+        bad[row, 0] = np.nan if array == "positions" else np.inf
+        cloud = dataclasses.replace(cloud, **{array: bad})
+        cfg = PipelineConfig(
+            sample_n=2000, tokens=12, width=32, svd_rank=8, voxel_cell=0.5
+        )
+        with pytest.raises(error) as err:
+            run_pipeline(cloud, cfg)
+        assert not isinstance(err.value, StageError)
+        assert err.value.index == row
+
+    def test_partition_for_other_point_count_rejected(self):
+        cfg = PipelineConfig(
+            sample_n=3000, tokens=12, width=32, svd_rank=8, voxel_cell=0.5
+        )
+        other = make_scene(2000, seed=3)
+        labels = np.arange(2000) % 40
+        partition = build_partition(labels, other.positions)
+        with pytest.raises(LengthMismatch, match="2000 labels for a 3000-point"):
+            run_pipeline(make_scene(3000, seed=3), cfg, partition=partition)
 
     def test_subsample(self):
         cloud = make_scene(1000, seed=5)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sfctok.errors import InvalidVoteIds
 from sfctok.graph import (
     SparseVoteGraph,
     VoteBatch,
@@ -65,6 +66,14 @@ class TestWindowVote:
         assert candidate_pair_count(n, r, w) <= bound
 
 
+def dict_coalesce(edges):
+    """Naive oracle: sum votes per (src, dst) in a dict, sort the pairs."""
+    acc = {}
+    for s, t, v in edges:
+        acc[(s, t)] = acc.get((s, t), 0) + v
+    return [(s, t, v) for (s, t), v in sorted(acc.items())]
+
+
 class TestCoalesce:
     def test_duplicates_summed(self):
         out = coalesce(batch_from([(0, 1, 1), (0, 1, 1)]))
@@ -87,6 +96,32 @@ class TestCoalesce:
         assert edge_tuples(out) == [
             (s, t, v) for (s, t), v in sorted(oracle.items())
         ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("max_id", [1, 7, 300, 3_037_000_498])
+    def test_packed_key_matches_dict_oracle(self, seed, max_id):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        n = int(rng.integers(1, 400))
+        # draw from a small id pool so pairs repeat, and include max_id itself
+        pool = np.unique(np.r_[rng.integers(0, max_id + 1, size=12), max_id])
+        src = rng.choice(pool, size=n)
+        dst = rng.choice(pool, size=n)
+        votes = rng.integers(1, 1000, size=n)
+        edges = list(zip(src.tolist(), dst.tolist(), votes.tolist()))
+        out = coalesce(batch_from(edges))
+        assert out.coalesced
+        assert edge_tuples(out) == dict_coalesce(edges)
+        assert out.total_votes == int(votes.sum())
+
+    def test_negative_id_rejected(self):
+        with pytest.raises(InvalidVoteIds):
+            coalesce(batch_from([(0, 1, 1), (2, -1, 1)]))
+
+    def test_id_too_large_to_pack_rejected(self):
+        # n = 3_037_000_500 is the first id count with n * n > 2**63
+        coalesce(batch_from([(0, 3_037_000_498, 1)]))
+        with pytest.raises(InvalidVoteIds):
+            coalesce(batch_from([(0, 3_037_000_499, 1)]))
 
 
 class TestRerankTopk:

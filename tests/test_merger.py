@@ -182,6 +182,25 @@ class TestSinkhorn:
         # after the first few sweeps the violation contracts monotonically
         assert (np.diff(hist[2:]) <= 1e-12).all()
 
+    def test_converged_flag(self, rng):
+        logits = rng.normal(size=(16, 6))
+        mu = rng.uniform(0.5, 1.5, size=16)
+        mu /= mu.sum()
+        nu = np.full(6, 1 / 6)
+        done = sinkhorn(logits, mu, nu, tau=0.05)
+        assert done.converged and done.residual <= 1e-9
+        capped = sinkhorn(logits, mu, nu, tau=0.05, max_iters=2, residual_tol=1e-9)
+        assert capped.iterations == 2
+        assert not capped.converged and capped.residual > 1e-9
+        assert not sinkhorn(logits, mu, nu, tau=0.05, max_iters=0).converged
+
+    def test_zero_iterations_returns_kernel(self, rng):
+        logits = rng.normal(size=(7, 3))
+        plan = sinkhorn(logits, np.full(7, 1 / 7), np.full(3, 1 / 3), tau=0.5,
+                        max_iters=0)
+        assert plan.iterations == 0 and plan.residual == np.inf
+        assert np.array_equal(plan.plan, np.exp(logits / 0.5))
+
     def test_invalid_marginals(self):
         logits = np.zeros((3, 3))
         good = np.full(3, 1 / 3)
