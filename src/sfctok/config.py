@@ -6,6 +6,8 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
+from .errors import ConfigError
+
 SEED_ENV_VAR = "SFCTOK_SEED"
 
 
@@ -36,15 +38,27 @@ class PipelineConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
-            if f.name != "seed" and v <= 0:
-                raise ValueError(f"config field {f.name}={v} must be positive")
+            if f.name == "seed":
+                if v < 0:
+                    raise ConfigError(f"config field seed={v} must be nonnegative")
+            elif not v > 0:  # also rejects NaN
+                raise ConfigError(f"config field {f.name}={v} must be positive")
 
     def with_env_seed(self):
         """Return a copy with the seed overridden by SFCTOK_SEED, if set."""
         env = os.environ.get(SEED_ENV_VAR)
         if env is None:
             return self
-        return dataclasses.replace(self, seed=int(env))
+        return dataclasses.replace(self, seed=_cast(SEED_ENV_VAR, int, env))
+
+
+def _cast(key, caster, raw):
+    try:
+        return caster(raw)
+    except ValueError:
+        raise ConfigError(
+            f"{key}={raw!r} is not a valid {caster.__name__}"
+        ) from None
 
 
 def parse_config_file(path) -> dict:
@@ -56,7 +70,7 @@ def parse_config_file(path) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
+                raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, raw = (part.strip() for part in line.split("=", 1))
             values[key] = raw
     return values
@@ -71,7 +85,7 @@ def config_from_sources(file_values=None, overrides=None) -> PipelineConfig:
             if raw is None:
                 continue
             if key not in fields:
-                raise ValueError(f"unknown config key: {key}")
+                raise ConfigError(f"unknown config key: {key}")
             caster = float if fields[key] in ("float", float) else int
-            merged[key] = caster(raw)
+            merged[key] = _cast(key, caster, raw)
     return PipelineConfig(**merged).with_env_seed()

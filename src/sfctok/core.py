@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     EmptyCloud,
@@ -150,6 +151,26 @@ def seeded_init(seed: int, shapes) -> SeededWeights:
     return SeededWeights(seed=seed, shapes=shapes, values=values)
 
 
+def segment_mean(labels, m, values):
+    """Mean of the ``values`` rows per label 0..m-1, and the row count per label.
+
+    SENTINEL rows are skipped; a label in range with no rows raises
+    ``EmptySuperpoint``. The sums are one product with the (m, N) 0/1
+    membership matrix, whose rows list their points in ascending order, so
+    each mean adds its rows in point order.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    rows = np.flatnonzero(labels != SENTINEL)
+    counts = np.bincount(labels[rows], minlength=m)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise EmptySuperpoint(int(empty[0]))
+    member = sp.csr_matrix(
+        (np.ones(rows.size), (labels[rows], rows)), shape=(m, labels.shape[0])
+    )
+    return member @ np.asarray(values, dtype=np.float64) / counts[:, None], counts
+
+
 def build_partition(labels, positions) -> SuperpointPartition:
     """Construct a partition from per-point labels, computing centers/counts.
 
@@ -161,11 +182,5 @@ def build_partition(labels, positions) -> SuperpointPartition:
     if not valid.any():
         raise EmptySuperpoint(0)
     m = int(labels[valid].max()) + 1
-    counts = np.bincount(labels[valid], minlength=m)
-    empty = np.flatnonzero(counts == 0)
-    if empty.size:
-        raise EmptySuperpoint(int(empty[0]))
-    centers = np.zeros((m, 3))
-    np.add.at(centers, labels[valid], positions[valid])
-    centers /= counts[:, None]
+    centers, counts = segment_mean(labels, m, positions)
     return SuperpointPartition(labels=labels, centers=centers, counts=counts)

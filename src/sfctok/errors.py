@@ -5,6 +5,11 @@ class SfcTokError(Exception):
     """Base class for all library errors."""
 
 
+# config
+class ConfigError(SfcTokError, ValueError):
+    """An unknown config key, or a value that does not parse or is out of range."""
+
+
 # core types
 class EmptyCloud(SfcTokError):
     pass
@@ -50,10 +55,6 @@ class EmptySuperpoint(SfcTokError):
     def __init__(self, label):
         self.label = label
         super().__init__(f"superpoint {label} has no points")
-
-
-class KTooLarge(SfcTokError):
-    pass
 
 
 # enhancer

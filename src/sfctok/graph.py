@@ -3,7 +3,8 @@
 Votes are cast between the superpoints of points that fall in the same
 short window of each SFC-sorted point sequence; duplicates are coalesced,
 candidates re-ranked per source by (center distance^2 asc, votes desc),
-truncated to k, symmetrized by union, and normalized symmetrically.
+truncated to k, symmetrized by a sparse elementwise-maximum union, and
+normalized symmetrically.
 """
 
 from __future__ import annotations
@@ -130,65 +131,44 @@ def coalesce(batch: VoteBatch) -> VoteBatch:
     return VoteBatch(src=key // n, dst=key % n, votes=summed, coalesced=True)
 
 
+def _ranked(src, dst, votes, centers):
+    """Edges with their center distance^2, sorted by (src, dist^2, -votes, dst)."""
+    diff = centers[src] - centers[dst]
+    dist2 = np.einsum("ij,ij->i", diff, diff)
+    order = np.lexsort((dst, -votes, dist2, src))
+    return src[order], dst[order], votes[order], dist2[order]
+
+
 def rerank_topk(batch: VoteBatch, centers, k) -> SparseVoteGraph:
     """Keep the k best candidates per source by (dist^2, -votes, dst), then
-    symmetrize by edge union and compute degrees."""
+    symmetrize by edge union and compute degrees.
+
+    The union is the elementwise maximum of the kept (src, dst) -> votes
+    matrix and its transpose: an edge kept in both directions carries the
+    higher of its two vote counts.
+    """
     if not batch.coalesced:
         raise ValueError("batch must be coalesced before re-ranking")
     centers = np.asarray(centers, dtype=np.float64)
     m = centers.shape[0]
-    src, dst, votes = batch.src, batch.dst, batch.votes
-    diff = centers[src] - centers[dst]
-    dist2 = np.einsum("ij,ij->i", diff, diff)
-
-    order = np.lexsort((dst, -votes, dist2, src))
-    src, dst, votes, dist2 = src[order], dst[order], votes[order], dist2[order]
+    src, dst, votes, _ = _ranked(batch.src, batch.dst, batch.votes, centers)
     # rank within each source run, keep rank < k
-    counts = np.bincount(src, minlength=m)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    rank = np.arange(src.shape[0]) - offsets[src]
-    keep = rank < k
-    src, dst, votes, dist2 = src[keep], dst[keep], votes[keep], dist2[keep]
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=m))))
+    keep = np.arange(src.shape[0]) - offsets[src] < k
+    kept = sp.csr_matrix((votes[keep], (src[keep], dst[keep])), shape=(m, m))
+    union = kept.maximum(kept.T)
 
-    # union with reversed edges; on duplicates keep the higher vote count
-    src2 = np.concatenate([src, dst])
-    dst2 = np.concatenate([dst, src])
-    votes2 = np.concatenate([votes, votes])
-    dist2b = np.concatenate([dist2, dist2])
-    order = np.lexsort((-votes2, dst2, src2))
-    src2, dst2, votes2, dist2b = (
-        src2[order],
-        dst2[order],
-        votes2[order],
-        dist2b[order],
+    degree = np.diff(union.indptr).astype(np.int64)
+    src = np.repeat(np.arange(m), degree)
+    _, dst, votes, dist2 = _ranked(
+        src, union.indices.astype(np.int64), union.data, centers
     )
-    first = np.empty(src2.shape[0], dtype=bool)
-    if src2.shape[0]:
-        first[0] = True
-        first[1:] = (src2[1:] != src2[:-1]) | (dst2[1:] != dst2[:-1])
-    src2, dst2, votes2, dist2b = (
-        src2[first],
-        dst2[first],
-        votes2[first],
-        dist2b[first],
-    )
-
-    # final per-source ordering by the composite key
-    order = np.lexsort((dst2, -votes2, dist2b, src2))
-    src2, dst2, votes2, dist2b = (
-        src2[order],
-        dst2[order],
-        votes2[order],
-        dist2b[order],
-    )
-    degree = np.bincount(src2, minlength=m)
-    indptr = np.concatenate(([0], np.cumsum(degree)))
     return SparseVoteGraph(
         n_nodes=m,
-        indptr=indptr,
-        dst=dst2,
-        dist2=dist2b,
-        votes=votes2,
+        indptr=np.concatenate(([0], np.cumsum(degree))),
+        dst=dst,
+        dist2=dist2,
+        votes=votes,
         degree=degree,
     )
 
@@ -197,11 +177,14 @@ def normalized_adjacency(g: SparseVoteGraph) -> sp.csr_matrix:
     """D^{-1/2} A D^{-1/2} over the binary symmetric adjacency.
 
     Isolated nodes contribute all-zero rows rather than a division error.
+    The graph's own (indptr, dst) lists are the CSR structure; sorting each
+    row's columns fixes the summation order of products with it.
     """
-    src = g.src
     deg = g.degree.astype(np.float64)
     inv_sqrt = np.zeros_like(deg)
     nz = deg > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
-    vals = inv_sqrt[src] * inv_sqrt[g.dst]
-    return sp.csr_matrix((vals, (src, g.dst)), shape=(g.n_nodes, g.n_nodes))
+    vals = inv_sqrt[g.src] * inv_sqrt[g.dst]
+    return sp.csr_matrix(
+        (vals, g.dst, g.indptr), shape=(g.n_nodes, g.n_nodes)
+    ).sorted_indices()

@@ -39,6 +39,8 @@ _PLY_TYPES = {
     "uint": ("u4", 4),
     "uint32": ("u4", 4),
 }
+# Fields a header line of each keyword needs before its values can be read.
+_PLY_MIN_FIELDS = {"format": 2, "element": 3, "property": 3}
 
 
 def _parse_ply_header(data):
@@ -55,17 +57,26 @@ def _parse_ply_header(data):
         parts = line.split()
         if not parts:
             continue
+        if len(parts) < _PLY_MIN_FIELDS.get(parts[0], 1):
+            raise ParseError(f"malformed header line {line!r}", offset=0)
         if parts[0] == "format":
             fmt = parts[1]
         elif parts[0] == "element":
             in_vertex = parts[1] == "vertex"
             if in_vertex:
+                if not parts[2].isdigit():
+                    raise ParseError(
+                        f"vertex count {parts[2]!r} is not a nonnegative integer",
+                        offset=0,
+                    )
                 n_vertices = int(parts[2])
         elif parts[0] == "property" and in_vertex:
             if parts[1] == "list":
                 raise UnsupportedProperty("list properties on vertices")
             if parts[1] not in _PLY_TYPES:
                 raise UnsupportedProperty(parts[1])
+            if any(name == parts[2] for name, _ in props):
+                raise ParseError(f"duplicate vertex property {parts[2]}", offset=0)
             props.append((parts[2], parts[1]))
     if fmt not in ("ascii", "binary_little_endian"):
         raise UnsupportedProperty(f"format {fmt}")
@@ -169,7 +180,10 @@ def load_labels(path, n_points):
     with open(path, "rb") as fh:
         data = fh.read()
     if _looks_like_text(data):
-        raw = np.array(data.split(), dtype=np.int64)
+        try:
+            raw = np.array(data.split(), dtype=np.int64)
+        except (ValueError, OverflowError):
+            raise ParseError("text label file holds a non-int64 token", offset=0) from None
     else:
         if len(data) % 4 != 0:
             raise ParseError("binary label file not a multiple of 4 bytes", offset=len(data))
@@ -198,20 +212,28 @@ def write_token_file(path, tokens: TokenMatrix):
         fh.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
 
+def _parse_token_header(data):
+    """(version, T, d) from the first 14 bytes of a token file."""
+    if len(data) < 14 or data[:4] != TOKENFILE_MAGIC:
+        raise ParseError("bad token file magic", offset=0)
+    version, t, d = struct.unpack("<HII", data[4:14])
+    if version != TOKENFILE_VERSION:
+        raise ParseError(
+            f"token file version {version}, expected {TOKENFILE_VERSION}", offset=4
+        )
+    return version, t, d
+
+
 def read_token_header(path):
     """Return (version, T, d) without reading the payload."""
     with open(path, "rb") as fh:
-        head = fh.read(14)
-    if len(head) < 14 or head[:4] != TOKENFILE_MAGIC:
-        raise ParseError("bad token file magic", offset=0)
-    version, t, d = struct.unpack("<HII", head[4:14])
-    return version, t, d
+        return _parse_token_header(fh.read(14))
 
 
 def read_token_file(path) -> TokenMatrix:
     with open(path, "rb") as fh:
         data = fh.read()
-    version, t, d = read_token_header(path)
+    _, t, d = _parse_token_header(data)
     body = data[14:]
     expected = t * d * 8 + t * 3 * 8
     if len(body) != expected + 4:

@@ -6,7 +6,7 @@ output tokens by entropic optimal transport with importance-score row
 marginals. The transport solver is Sinkhorn matrix scaling (two
 matrix-vector products per sweep) on a row-shifted kernel, kept stable at
 small temperatures by log-domain absorption of the scalings into the
-potentials. Also hosts the k-means instance-proposal clustering.
+potentials.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .core import SeededWeights, TokenMatrix
 from .errors import (
     DimensionMismatch,
     InvalidMarginals,
-    KTooLarge,
     NonFiniteKernel,
     RankTooLarge,
 )
@@ -260,41 +259,3 @@ def soft_pool(plan: TransportPlan, tokens: TokenMatrix, normalize=False) -> Toke
         feats = feats / plan.nu[:, None]
         centers = centers / plan.nu[:, None]
     return TokenMatrix(feats=feats, centers=centers)
-
-
-def kmeans_proposals(z_emb, n_clusters, seed=0, max_iters=100):
-    """Lloyd's algorithm with seeded k-means++ initialization.
-
-    Returns per-row cluster labels; stops at an assignment fixpoint or the
-    iteration cap. The objective is nonincreasing across iterations.
-    """
-    z = np.asarray(z_emb, dtype=np.float64)
-    m = z.shape[0]
-    if n_clusters > m:
-        raise KTooLarge(f"{n_clusters} clusters > {m} rows")
-    rng = np.random.Generator(np.random.PCG64(seed))
-
-    # k-means++ seeding
-    centers = np.empty((n_clusters, z.shape[1]))
-    centers[0] = z[rng.integers(m)]
-    d2 = ((z - centers[0]) ** 2).sum(axis=1)
-    for c in range(1, n_clusters):
-        total = d2.sum()
-        if total <= 0:
-            centers[c] = z[rng.integers(m)]
-        else:
-            centers[c] = z[rng.choice(m, p=d2 / total)]
-        d2 = np.minimum(d2, ((z - centers[c]) ** 2).sum(axis=1))
-
-    labels = np.full(m, -1, dtype=np.int64)
-    for _ in range(max_iters):
-        dists = ((z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = dists.argmin(axis=1)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        for c in range(n_clusters):
-            mask = labels == c
-            if mask.any():
-                centers[c] = z[mask].mean(axis=0)
-    return labels

@@ -150,13 +150,9 @@ def run_pipeline(
         s = enhancer.enhance(s, enh_cfg)
 
     with _Stage("graph", timings):
-        point_curves = sfc.serialize_all(scene.positions, b=cfg.bits)
-        votes = graph.window_vote(
-            partition.labels, point_curves, cfg.graph_stride, cfg.graph_window
+        vote_graph, vote_count = build_vote_graph(
+            scene.positions, partition.labels, partition.centers, cfg
         )
-        vote_count = votes.n_edges
-        coalesced = graph.coalesce(votes)
-        vote_graph = graph.rerank_topk(coalesced, partition.centers, cfg.graph_k)
         a_hat = graph.normalized_adjacency(vote_graph)
 
     with _Stage("merge", timings):
@@ -193,7 +189,11 @@ def run_pipeline(
 
 
 def build_vote_graph(positions, labels, centers, cfg: PipelineConfig):
-    """Graph-construction slice of the pipeline, used by benchmarks."""
+    """Graph-construction slice of the pipeline: (top-k vote graph, votes cast).
+
+    The pipeline's graph stage, ``sfctok graph-dump`` and the scaling
+    benchmark all build the graph through this function.
+    """
     point_curves = sfc.serialize_all(positions, b=cfg.bits)
     votes = graph.window_vote(labels, point_curves, cfg.graph_stride, cfg.graph_window)
     coalesced = graph.coalesce(votes)

@@ -3,7 +3,7 @@
 Point-level tokens are the sum of a parameter-free Fourier embedding of
 box-normalized coordinates and a shallow MLP projection of the point
 features; superpoint tokens average-pool them per label. Also hosts the
-coordinate prompt tokens and the voxel fallback segmenter.
+voxel fallback segmenter.
 """
 
 from __future__ import annotations
@@ -11,17 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import (
-    SENTINEL,
     PointCloud,
     SeededWeights,
     SuperpointPartition,
     TokenMatrix,
     build_partition,
+    segment_mean,
 )
-from .errors import EmptySuperpoint, KTooLarge, ShapeMismatch, WidthTooSmall
+from .errors import ShapeMismatch, WidthTooSmall
 
 
 @dataclass(frozen=True)
@@ -40,14 +39,11 @@ class FourierEmbedConfig:
         return self.d // 6
 
 
-def _box_normalize(positions, bounds=None):
+def _box_normalize(positions):
     """Scale coordinates into [0,1]^3 by the bounding box; flat axes map to 0."""
     positions = np.asarray(positions, dtype=np.float64)
-    if bounds is None:
-        lo = positions.min(axis=0)
-        hi = positions.max(axis=0)
-    else:
-        lo, hi = bounds
+    lo = positions.min(axis=0)
+    hi = positions.max(axis=0)
     span = hi - lo
     u = np.zeros_like(positions)
     for axis in range(3):
@@ -56,16 +52,15 @@ def _box_normalize(positions, bounds=None):
     return u
 
 
-def fourier_embed(positions, cfg: FourierEmbedConfig, bounds=None):
+def fourier_embed(positions, cfg: FourierEmbedConfig):
     """K x d sin/cos features of box-relative coordinates, bounded in [-1, 1].
 
-    ``bounds`` overrides the normalization box (lo, hi); by default the box
-    is the input's own extrema, which makes the embedding translation
-    invariant.
+    The box is the input's own extrema, which makes the embedding
+    translation invariant.
     """
     if cfg.d < 6:
         raise WidthTooSmall(f"embedding width {cfg.d} < 6")
-    u = _box_normalize(positions, bounds)  # (K, 3)
+    u = _box_normalize(positions)  # (K, 3)
     freqs = cfg.base ** np.arange(cfg.num_freqs)  # (F,)
     phase = 2.0 * np.pi * u[:, :, None] * freqs[None, None, :]  # (K, 3, F)
     out = np.zeros((u.shape[0], cfg.d))
@@ -101,41 +96,8 @@ def point_tokens(cloud: PointCloud, weights: SeededWeights, cfg: FourierEmbedCon
 
 def superpoint_pool(x0, part: SuperpointPartition) -> TokenMatrix:
     """Average point tokens per superpoint; sentinel points are excluded."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    labels = part.labels
-    m = part.n_superpoints
-    valid = labels != SENTINEL
-    counts = np.bincount(labels[valid], minlength=m)
-    empty = np.flatnonzero(counts == 0)
-    if empty.size:
-        raise EmptySuperpoint(int(empty[0]))
-    sums = np.zeros((m, x0.shape[1]))
-    np.add.at(sums, labels[valid], x0[valid])
-    return TokenMatrix(feats=sums / counts[:, None], centers=part.centers)
-
-
-def coordinate_prompt(query, cloud: PointCloud, k: int, cfg: FourierEmbedConfig):
-    """One coordinate token per query: its Fourier embedding averaged with
-    the embeddings of its k exact nearest cloud points.
-
-    All embeddings share the cloud's bounding box so queries and neighbors
-    live in the same coordinate frame.
-    """
-    query = np.atleast_2d(np.asarray(query, dtype=np.float64))
-    n = cloud.n_points
-    if k > n:
-        raise KTooLarge(f"k={k} > {n} points")
-    lo = cloud.positions.min(axis=0)
-    hi = cloud.positions.max(axis=0)
-    q_emb = fourier_embed(query, cfg, bounds=(lo, hi))
-    if k == 0:
-        return q_emb
-    tree = cKDTree(cloud.positions)
-    _, idx = tree.query(query, k=k)
-    idx = np.atleast_2d(idx.reshape(query.shape[0], k))
-    p_emb = fourier_embed(cloud.positions, cfg, bounds=(lo, hi))
-    neigh_mean = p_emb[idx].mean(axis=1)
-    return (q_emb + k * neigh_mean) / (k + 1)
+    feats, _ = segment_mean(part.labels, part.n_superpoints, x0)
+    return TokenMatrix(feats=feats, centers=part.centers)
 
 
 def voxel_superpoints(cloud: PointCloud, cell: float) -> SuperpointPartition:

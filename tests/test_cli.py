@@ -226,6 +226,30 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "build_slope=" in printed
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--tokens", "abc"], ["--tokens", "-1"], ["--tau", "nan"], ["--seed", "-3"]],
+    )
+    def test_bad_flag_value_reports_error(self, scene_ply, tmp_path, capsys, flags):
+        rc = main(["tokenize", str(scene_ply), "--out", str(tmp_path / "o.tok"), *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flags[0][2:] in err
+
+    def test_unknown_config_key_reports_error(self, scene_ply, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tokens = 12\nbogus = 1\n")
+        rc = main(["tokenize", str(scene_ply), "--config", str(cfg),
+                   "--out", str(tmp_path / "o.tok")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: unknown config key: bogus\n"
+
+    def test_bad_env_seed_reports_error(self, scene_ply, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SFCTOK_SEED", "x1")
+        rc = main(["tokenize", str(scene_ply), "--out", str(tmp_path / "o.tok"), *SMALL])
+        assert rc == 1
+        assert "SFCTOK_SEED" in capsys.readouterr().err
+
     def test_missing_file_reports_error(self, tmp_path, capsys):
         rc = main(["inspect", str(tmp_path / "nope.tok")])
         assert rc != 0 or capsys.readouterr().err

@@ -3,9 +3,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sfctok.core import PointCloud, build_partition, seeded_init, validate_cloud
+from sfctok.core import (
+    SENTINEL,
+    PointCloud,
+    build_partition,
+    segment_mean,
+    seeded_init,
+    validate_cloud,
+)
 from sfctok.errors import (
     EmptyCloud,
+    EmptySuperpoint,
     FeatureRowMismatch,
     InvalidShape,
     NonFiniteCoordinate,
@@ -87,3 +95,38 @@ def test_build_partition_centers_and_counts():
     assert np.array_equal(part.counts, [2, 1])
     assert np.allclose(part.centers[0], [1.0, 0, 0])
     assert np.allclose(part.centers[1], [1.0, 1, 1])
+
+
+def _segment_mean_oracle(labels, m, values):
+    """Per-label Python loop: sum the rows in point order, then divide."""
+    sums = np.zeros((m, values.shape[1]))
+    counts = np.zeros(m, dtype=np.int64)
+    for row, label in enumerate(labels):
+        if label != SENTINEL:
+            sums[label] += values[row]
+            counts[label] += 1
+    return sums / counts[:, None], counts
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_segment_mean_matches_loop_oracle(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 40))
+    n = m + int(rng.integers(0, 300))
+    labels = np.concatenate([np.arange(m), rng.integers(0, m, size=n - m)])
+    rng.shuffle(labels)
+    labels[rng.random(n) < 0.2] = SENTINEL
+    labels[rng.permutation(n)[:m]] = np.arange(m)  # keep every label populated
+    values = rng.normal(size=(n, int(rng.integers(1, 9)))) * 10.0 ** rng.integers(-3, 4)
+    means, counts = segment_mean(labels, m, values)
+    ref_means, ref_counts = _segment_mean_oracle(labels, m, values)
+    assert np.array_equal(counts, ref_counts)
+    assert np.array_equal(means, ref_means)  # same summation order: bit-equal
+
+
+def test_segment_mean_empty_label_rejected():
+    # labels 0 and 2 are populated, label 1 is not
+    labels = np.array([0, SENTINEL, 2, 0, 2])
+    with pytest.raises(EmptySuperpoint) as err:
+        segment_mean(labels, 3, np.ones((5, 2)))
+    assert err.value.label == 1

@@ -151,18 +151,26 @@ class TestRerankTopk:
             batch_from(list(zip(src[keep], dst[keep], np.ones(keep.sum(), int))))
         )
         g = rerank_topk(batch, centers, k=k)
-        # oracle: sort every candidate list fully, take first k, then union
+        # oracle: sort every candidate list fully, take first k, then union;
+        # an edge kept in both directions carries the larger vote count
         cands = {}
         for s, t, v in edge_tuples(batch):
             d2 = float(((centers[s] - centers[t]) ** 2).sum())
             cands.setdefault(s, []).append((d2, -v, t))
-        directed = set()
+        expected = {}
         for s, lst in cands.items():
             for d2, nv, t in sorted(lst)[:k]:
-                directed.add((s, t))
-        expected = directed | {(t, s) for s, t in directed}
-        built = {(int(s), int(t)) for s, t in zip(g.src, g.dst)}
-        assert built == expected
+                for key in ((s, t), (t, s)):
+                    _, old_v = expected.get(key, (d2, 0))
+                    expected[key] = (d2, max(old_v, -nv))
+        built = {
+            (int(s), int(t)): (float(d2), int(v))
+            for s, t, d2, v in zip(g.src, g.dst, g.dist2, g.votes)
+        }
+        assert built.keys() == expected.keys()
+        for key, (d2, v) in expected.items():
+            assert built[key][1] == v
+            assert built[key][0] == pytest.approx(d2, rel=1e-12, abs=1e-15)
 
     def test_deterministic(self, rng):
         m = 20

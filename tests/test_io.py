@@ -121,6 +121,33 @@ class TestPly:
             load_ply(path)
 
 
+    @pytest.mark.parametrize(
+        "vertex_line",
+        ["element vertex two", "element vertex -1", "element vertex 1.5", "element vertex"],
+    )
+    def test_bad_vertex_count_rejected(self, tmp_path, vertex_line):
+        text = (
+            f"ply\nformat ascii 1.0\n{vertex_line}\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "end_header\n0 0 0\n"
+        )
+        path = tmp_path / "v.ply"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            load_ply(path)
+
+    def test_duplicate_property_rejected(self, tmp_path):
+        text = (
+            "ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "property float x\nend_header\n"
+        )
+        path = tmp_path / "d.ply"
+        path.write_bytes(text.encode() + bytes(16))
+        with pytest.raises(ParseError, match="duplicate"):
+            load_ply(path)
+
+
 class TestLabels:
     def test_text_labels_compacted(self, tmp_path):
         path = tmp_path / "lab.txt"
@@ -146,6 +173,13 @@ class TestLabels:
         path.write_text("0\n1\n")
         with pytest.raises(LengthMismatch):
             load_labels(path, 5)
+
+    @pytest.mark.parametrize("text", ["0\n-\n", "0\n99999999999999999999999\n"])
+    def test_non_integer_text_label_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            load_labels(path, 2)
 
     def test_binary_misaligned(self, tmp_path):
         path = tmp_path / "odd.bin"
@@ -201,6 +235,21 @@ class TestTokenFile:
         path = tmp_path / "m.tok"
         path.write_bytes(b"NOPE" + struct.pack("<HII", 1, 0, 0))
         with pytest.raises(ParseError):
+            read_token_header(path)
+
+    @pytest.mark.parametrize("version", [0, 2, 0xFFFF])
+    def test_other_version_rejected(self, rng, tmp_path, version):
+        tokens = TokenMatrix(
+            feats=rng.normal(size=(2, 3)), centers=rng.uniform(size=(2, 3))
+        )
+        path = tmp_path / "v.tok"
+        write_token_file(path, tokens)
+        data = bytearray(path.read_bytes())
+        data[4:6] = struct.pack("<H", version)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ParseError, match="version"):
+            read_token_file(path)
+        with pytest.raises(ParseError, match="version"):
             read_token_header(path)
 
     def test_crc_matches_zlib(self, rng, tmp_path):

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfctok.core import SeededWeights, TokenMatrix, seeded_init
-from sfctok.errors import DimensionMismatch, InvalidMarginals, KTooLarge, RankTooLarge
+from sfctok.errors import DimensionMismatch, InvalidMarginals, RankTooLarge
 from sfctok.merger import (
     importance_scores,
-    kmeans_proposals,
     project_logits,
     sinkhorn,
     smooth_features,
@@ -264,40 +263,3 @@ class TestSoftPool:
         plan = sinkhorn(np.zeros((4, 2)), np.full(4, 0.25), np.full(2, 0.5), tau=1.0)
         with pytest.raises(DimensionMismatch):
             soft_pool(plan, s)
-
-
-class TestKmeans:
-    def test_k_equals_m_zero_objective(self, rng):
-        z = rng.normal(size=(8, 3))
-        labels = kmeans_proposals(z, n_clusters=8, seed=1)
-        assert len(set(labels.tolist())) == 8
-
-    def test_planted_blobs_recovered(self, rng):
-        blobs = np.concatenate(
-            [rng.normal(loc=c, scale=0.05, size=(30, 2)) for c in (0.0, 10.0, 20.0)]
-        )
-        labels = kmeans_proposals(blobs, n_clusters=3, seed=0)
-        for g in range(3):
-            chunk = labels[g * 30 : (g + 1) * 30]
-            assert (chunk == chunk[0]).all()
-        assert len(set(labels.tolist())) == 3
-
-    def test_deterministic(self, rng):
-        z = rng.normal(size=(50, 4))
-        a = kmeans_proposals(z, n_clusters=5, seed=9)
-        b = kmeans_proposals(z, n_clusters=5, seed=9)
-        assert np.array_equal(a, b)
-
-    def test_objective_nonincreasing(self, rng):
-        # rerun Lloyd by hand from the same seeding and track the objective
-        z = rng.normal(size=(60, 3))
-        labels = kmeans_proposals(z, n_clusters=4, seed=2)
-        centers = np.array([z[labels == c].mean(axis=0) for c in range(4)])
-        final = ((z - centers[labels]) ** 2).sum()
-        # one more Lloyd step cannot reduce the converged objective further
-        d = ((z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        assert np.isclose(d.min(axis=1).sum(), final, atol=1e-8)
-
-    def test_k_too_large(self, rng):
-        with pytest.raises(KTooLarge):
-            kmeans_proposals(rng.normal(size=(3, 2)), n_clusters=4)

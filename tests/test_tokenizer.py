@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from sfctok.core import PointCloud, SeededWeights, build_partition, seeded_init
-from sfctok.errors import EmptySuperpoint, KTooLarge, ShapeMismatch, WidthTooSmall
+from sfctok.errors import EmptySuperpoint, ShapeMismatch, WidthTooSmall
 from sfctok.synth import make_scene
 from sfctok.tokenizer import (
     FourierEmbedConfig,
-    coordinate_prompt,
     fourier_embed,
     mlp_project,
     point_tokens,
@@ -166,46 +165,6 @@ class TestSuperpointPool:
         )
         with pytest.raises(EmptySuperpoint):
             superpoint_pool(np.ones((2, 4)), part2)
-
-
-class TestCoordinatePrompt:
-    def test_k_zero_is_query_embedding(self, rng):
-        cloud = PointCloud(
-            positions=rng.uniform(size=(20, 3)), features=rng.uniform(size=(20, 3))
-        )
-        q = rng.uniform(size=(3, 3))
-        lo, hi = cloud.positions.min(0), cloud.positions.max(0)
-        expected = fourier_embed(q, CFG, bounds=(lo, hi))
-        assert np.allclose(coordinate_prompt(q, cloud, 0, CFG), expected)
-
-    def test_coincident_query_k1(self, rng):
-        cloud = PointCloud(
-            positions=rng.uniform(size=(20, 3)), features=rng.uniform(size=(20, 3))
-        )
-        q = cloud.positions[7:8]
-        lo, hi = cloud.positions.min(0), cloud.positions.max(0)
-        expected = fourier_embed(q, CFG, bounds=(lo, hi))
-        assert np.allclose(coordinate_prompt(q, cloud, 1, CFG), expected)
-
-    def test_matches_brute_force_knn(self, rng):
-        cloud = PointCloud(
-            positions=rng.uniform(size=(300, 3)), features=rng.uniform(size=(300, 3))
-        )
-        q = rng.uniform(size=(5, 3))
-        k = 8
-        lo, hi = cloud.positions.min(0), cloud.positions.max(0)
-        emb_all = fourier_embed(cloud.positions, CFG, bounds=(lo, hi))
-        emb_q = fourier_embed(q, CFG, bounds=(lo, hi))
-        # O(NQ) distance scan oracle
-        d = ((q[:, None, :] - cloud.positions[None, :, :]) ** 2).sum(axis=2)
-        idx = np.argsort(d, axis=1)[:, :k]
-        expected = (emb_q + emb_all[idx].sum(axis=1)) / (k + 1)
-        assert np.allclose(coordinate_prompt(q, cloud, k, CFG), expected)
-
-    def test_k_too_large(self, rng):
-        cloud = PointCloud(positions=rng.uniform(size=(5, 3)), features=np.ones((5, 1)))
-        with pytest.raises(KTooLarge):
-            coordinate_prompt(np.zeros((1, 3)), cloud, 6, CFG)
 
 
 class TestVoxelSuperpoints:
