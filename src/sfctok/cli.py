@@ -12,7 +12,7 @@ from . import io
 from .bench import BENCH_CSV_COLUMNS, fit_loglog_slope, run_bench
 from .config import PipelineConfig, config_from_sources, parse_config_file
 from .core import build_partition
-from .errors import SfcTokError
+from .errors import ConfigError, InvalidWeights, SfcTokError
 from .pipeline import PipelineWeights, build_vote_graph, run_pipeline, subsample
 
 
@@ -52,11 +52,11 @@ def _cmd_tokenize(args):
     weights = None
     if args.weights:
         named, _ = io.load_weights(args.weights)
-        weights = PipelineWeights(
-            point_mlp=named["point_mlp"],
-            importance_mlp=named["importance_mlp"],
-            projection=named["projection"],
-        )
+        names = [f.name for f in dataclasses.fields(PipelineWeights)]
+        missing = [name for name in names if name not in named]
+        if missing:
+            raise InvalidWeights(f"{args.weights}: no {', '.join(missing)} weights")
+        weights = PipelineWeights(**{name: named[name] for name in names})
     result = run_pipeline(scene, cfg, partition=partition, weights=weights)
     io.write_token_file(args.out, result.tokens)
     for line in result.summary_lines():
@@ -67,9 +67,14 @@ def _cmd_tokenize(args):
 
 def _cmd_bench(args):
     cfg = _build_config(args)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    if sizes != sorted(sizes):
-        raise SfcTokError("sizes must be ascending")
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise ConfigError(
+            f"--sizes {args.sizes!r} is not a comma-separated list of integers"
+        ) from None
+    if sizes != sorted(sizes) or sizes[0] < 1:
+        raise ConfigError(f"--sizes {args.sizes!r} must be positive and ascending")
     rows = run_bench(sizes, args.trials, cfg, oracle_cap=args.oracle_cap)
     out = open(args.out, "w") if args.out else sys.stdout
     try:

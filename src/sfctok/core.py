@@ -102,6 +102,14 @@ class SeededWeights:
     def n_layers(self):
         return len(self.shapes)
 
+    def split(self, i):
+        """(layers before i, layers from i on), each over a view of the values."""
+        off = sum(fi * fo + fo for fi, fo in self.shapes[:i])
+        return (
+            SeededWeights(self.seed, self.shapes[:i], self.values[:off]),
+            SeededWeights(self.seed, self.shapes[i:], self.values[off:]),
+        )
+
 
 def validate_cloud(cloud: PointCloud) -> None:
     """Check every PointCloud invariant, raising exactly one typed error."""
@@ -168,7 +176,9 @@ def segment_mean(labels, m, values):
     member = sp.csr_matrix(
         (np.ones(rows.size), (labels[rows], rows)), shape=(m, labels.shape[0])
     )
-    return member @ np.asarray(values, dtype=np.float64) / counts[:, None], counts
+    means = member @ np.asarray(values, dtype=np.float64)
+    means /= counts[:, None]
+    return means, counts
 
 
 def build_partition(labels, positions) -> SuperpointPartition:

@@ -106,6 +106,10 @@ class LengthMismatch(SfcTokError):
     pass
 
 
+class InvalidWeights(SfcTokError):
+    """A weights file array that is missing or does not form a layer stack."""
+
+
 class NoValidSuperpoints(SfcTokError):
     pass
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import PointCloud, SeededWeights, TokenMatrix, validate_cloud
 from .errors import (
+    InvalidWeights,
     LengthMismatch,
     NoValidSuperpoints,
     ParseError,
@@ -262,7 +263,12 @@ def save_weights(path, named_weights, extra_arrays=None):
 
 
 def load_weights(path):
-    """Inverse of save_weights: (dict of SeededWeights, dict of plain arrays)."""
+    """Inverse of save_weights: (dict of SeededWeights, dict of plain arrays).
+
+    Raises ``InvalidWeights`` naming the array when a weight stack's
+    ``.shapes`` or ``.seed`` is missing, its ``.values`` length is not what
+    the shapes need, or its layer shapes do not chain.
+    """
     data = np.load(path)
     named = {}
     extras = {}
@@ -273,10 +279,29 @@ def load_weights(path):
             continue
         extras[key] = data[key]
     for stem in sorted(stems):
-        shapes = tuple(map(tuple, data[f"{stem}.shapes"]))
-        named[stem] = SeededWeights(
-            seed=int(data[f"{stem}.seed"]),
-            shapes=shapes,
-            values=data[f"{stem}.values"],
-        )
+        named[stem] = _weight_stack(data, stem)
     return named, extras
+
+
+def _weight_stack(data, stem):
+    """The SeededWeights stored under ``stem``, checked against its shapes."""
+    for suffix in ("shapes", "seed"):
+        if f"{stem}.{suffix}" not in data.files:
+            raise InvalidWeights(f"{stem}.{suffix} is missing")
+    shapes = data[f"{stem}.shapes"]
+    if shapes.ndim != 2 or shapes.shape[1] != 2 or (shapes < 1).any():
+        raise InvalidWeights(f"{stem}.shapes must be rows of positive (fan_in, fan_out)")
+    shapes = tuple((int(fi), int(fo)) for fi, fo in shapes)
+    for i in range(1, len(shapes)):
+        if shapes[i][0] != shapes[i - 1][1]:
+            raise InvalidWeights(
+                f"{stem}.shapes: layer {i} fan-in {shapes[i][0]} "
+                f"!= layer {i - 1} fan-out {shapes[i - 1][1]}"
+            )
+    values = data[f"{stem}.values"]
+    expected = sum(fi * fo + fo for fi, fo in shapes)
+    if values.shape != (expected,):
+        raise InvalidWeights(
+            f"{stem}.values has shape {values.shape}; {stem}.shapes need ({expected},)"
+        )
+    return SeededWeights(seed=int(data[f"{stem}.seed"]), shapes=shapes, values=values)

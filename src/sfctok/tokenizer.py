@@ -1,9 +1,11 @@
 """Initial superpoint tokens: Fourier coordinate embedding + MLP features.
 
-Point-level tokens are the sum of a parameter-free Fourier embedding of
-box-normalized coordinates and a shallow MLP projection of the point
-features; superpoint tokens average-pool them per label. Also hosts the
-voxel fallback segmenter.
+A superpoint token is the per-label mean of the point tokens, the sum of a
+shallow MLP projection of the point features and a parameter-free Fourier
+embedding of box-normalized coordinates. The MLP's last layer is linear and
+so is the mean, so the mean is taken over the last hidden layer and the
+embedding, and the last layer runs once per superpoint instead of once per
+point. Also hosts the voxel fallback segmenter.
 """
 
 from __future__ import annotations
@@ -79,24 +81,53 @@ def mlp_project(features, weights: SeededWeights):
             raise ShapeMismatch(
                 f"layer {i}: input width {x.shape[1]} != fan-in {w.shape[0]}"
             )
-        x = x @ w + b
+        x = x @ w
+        x += b
         if i < weights.n_layers - 1:
-            x = np.maximum(x, 0.0)
+            np.maximum(x, 0.0, out=x)
     return x
 
 
 def point_tokens(cloud: PointCloud, weights: SeededWeights, cfg: FourierEmbedConfig):
-    """N x d point-level tokens: MLP(features) + FourierEmbed(positions)."""
-    feat = mlp_project(cloud.features, weights)
+    """N x (h+d) point rows: the MLP's last hidden layer, then FourierEmbed.
+
+    The hidden part is ReLU(every layer but the last) of the features, h wide
+    (the raw features for a one-layer MLP). ``superpoint_pool`` applies the
+    last layer after the mean.
+    """
+    if weights.n_layers < 1:
+        raise ShapeMismatch("the point MLP has no layers")
+    hidden, head = weights.split(-1)
+    h = head.shapes[0][0]
     coor = fourier_embed(cloud.positions, cfg)
-    if feat.shape != coor.shape:
-        raise ShapeMismatch(f"{feat.shape} vs {coor.shape}")
-    return feat + coor
+    x0 = np.empty((coor.shape[0], h + coor.shape[1]))
+    x0[:, h:] = coor
+    del coor  # free the embedding before the hidden layer allocates its rows
+    feat = mlp_project(cloud.features, hidden)
+    if feat.shape[1] != h:
+        raise ShapeMismatch(f"last layer fan-in {h} != hidden width {feat.shape[1]}")
+    if hidden.n_layers:
+        np.maximum(feat, 0.0, out=x0[:, :h])
+    else:
+        x0[:, :h] = feat
+    return x0
 
 
-def superpoint_pool(x0, part: SuperpointPartition) -> TokenMatrix:
-    """Average point tokens per superpoint; sentinel points are excluded."""
-    feats, _ = segment_mean(part.labels, part.n_superpoints, x0)
+def superpoint_pool(x0, part: SuperpointPartition, weights: SeededWeights) -> TokenMatrix:
+    """Superpoint tokens from ``point_tokens`` rows; sentinel points are excluded.
+
+    The mean runs over the point rows, then the MLP's last layer over the h
+    hidden columns of each mean, plus the mean of the embedding columns.
+    """
+    _, head = weights.split(-1)
+    h, d = head.shapes[0]
+    if h + d != x0.shape[1]:
+        raise ShapeMismatch(
+            f"last layer fan-out {d} != embedding width {x0.shape[1] - h}"
+        )
+    pooled, _ = segment_mean(part.labels, part.n_superpoints, x0)
+    feats = mlp_project(pooled[:, :h], head)
+    feats += pooled[:, h:]
     return TokenMatrix(feats=feats, centers=part.centers)
 
 

@@ -15,8 +15,8 @@ from sfctok.errors import (
     StageError,
     SuggestLowerT,
 )
-from sfctok.io import read_token_file, save_ply
-from sfctok.pipeline import run_pipeline, subsample
+from sfctok.io import read_token_file, save_ply, save_weights
+from sfctok.pipeline import PipelineWeights, run_pipeline, subsample
 from sfctok.synth import make_scene
 
 SMALL = [
@@ -235,6 +235,43 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and flags[0][2:] in err
+
+    def test_bad_bench_sizes_reports_error(self, capsys):
+        assert main(["bench", "--sizes", "abc"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--sizes 'abc'" in err
+
+    def test_saved_seeded_weights_match_default(self, scene_ply, tmp_path):
+        path = tmp_path / "w.npz"
+        weights = PipelineWeights.from_seed(0, 3, 32, 16, 24)
+        save_weights(path, vars(weights))
+        default, loaded = tmp_path / "a.tok", tmp_path / "b.tok"
+        assert main(["tokenize", str(scene_ply), "--out", str(default), *SMALL]) == 0
+        assert main(["tokenize", str(scene_ply), "--out", str(loaded),
+                     "--weights", str(path), *SMALL]) == 0
+        assert default.read_bytes() == loaded.read_bytes()
+
+    @pytest.mark.parametrize("fault, named", [
+        ("missing", "importance_mlp"),
+        ("values_length", "point_mlp.values"),
+        ("unchained", "point_mlp.shapes"),
+    ])
+    def test_bad_weights_file_reports_error(self, scene_ply, tmp_path, capsys, fault, named):
+        weights = dict(vars(PipelineWeights.from_seed(0, 3, 32, 16, 24)))
+        mlp = weights["point_mlp"]
+        if fault == "missing":
+            del weights["importance_mlp"]
+        elif fault == "values_length":
+            weights["point_mlp"] = dataclasses.replace(mlp, values=mlp.values[:-1])
+        else:
+            weights["point_mlp"] = dataclasses.replace(mlp, shapes=((3, 32), (31, 32)))
+        path = tmp_path / "w.npz"
+        save_weights(path, weights)
+        rc = main(["tokenize", str(scene_ply), "--out", str(tmp_path / "o.tok"),
+                   "--weights", str(path), *SMALL])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
 
     def test_unknown_config_key_reports_error(self, scene_ply, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

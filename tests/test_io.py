@@ -10,6 +10,7 @@ import pytest
 from sfctok.config import PipelineConfig, config_from_sources, parse_config_file
 from sfctok.core import PointCloud, TokenMatrix, seeded_init
 from sfctok.errors import (
+    InvalidWeights,
     LengthMismatch,
     NoValidSuperpoints,
     ParseError,
@@ -276,6 +277,26 @@ class TestWeights:
         assert named["alpha"].shapes == ((4, 8), (8, 1))
         assert np.array_equal(named["alpha"].values, a.values)
         assert np.array_equal(extras["gamma"], np.eye(2))
+
+    def test_values_length_rejected(self, tmp_path):
+        a = seeded_init(3, [(4, 8), (8, 1)])
+        path = tmp_path / "w.npz"
+        save_weights(path, {"alpha": dataclasses.replace(a, values=a.values[1:])})
+        with pytest.raises(InvalidWeights, match=r"alpha\.values"):
+            load_weights(path)
+
+    def test_unchained_shapes_rejected(self, tmp_path):
+        a = seeded_init(3, [(4, 8), (7, 1)])
+        path = tmp_path / "w.npz"
+        save_weights(path, {"alpha": a})
+        with pytest.raises(InvalidWeights, match=r"alpha\.shapes: layer 1 fan-in 7"):
+            load_weights(path)
+
+    def test_missing_shapes_rejected(self, tmp_path):
+        path = tmp_path / "w.npz"
+        np.savez(path, **{"alpha.values": np.zeros(3), "alpha.seed": np.array(0)})
+        with pytest.raises(InvalidWeights, match=r"alpha\.shapes is missing"):
+            load_weights(path)
 
 
 class TestConfig:

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from sfctok.core import PointCloud, SeededWeights, build_partition, seeded_init
+from sfctok.core import (
+    PointCloud,
+    SeededWeights,
+    build_partition,
+    seeded_init,
+    segment_mean,
+)
 from sfctok.errors import EmptySuperpoint, ShapeMismatch, WidthTooSmall
 from sfctok.synth import make_scene
 from sfctok.tokenizer import (
@@ -82,22 +89,54 @@ class TestMlpProject:
             mlp_project(rng.normal(size=(4, 3)), w)
 
 
+def head_rows(x0, w):
+    """Apply the last layer of ``w`` to each point row, as before pooling."""
+    head_w, head_b = w.layer(w.n_layers - 1)
+    h = head_w.shape[0]
+    return x0[:, :h] @ head_w + head_b + x0[:, h:]
+
+
+def relative_error(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
 class TestPointTokens:
     def test_zero_mlp_reduces_to_fourier(self, rng):
         cloud = PointCloud(
             positions=rng.uniform(size=(30, 3)), features=rng.uniform(size=(30, 3))
         )
-        w = zero_weights([(3, 24), (24, 24)])
-        assert np.allclose(
-            point_tokens(cloud, w, CFG), fourier_embed(cloud.positions, CFG)
-        )
+        w = zero_weights([(3, 16), (16, 24)])
+        x0 = point_tokens(cloud, w, CFG)
+        emb = fourier_embed(cloud.positions, CFG)
+        assert np.array_equal(x0[:, :16], np.zeros((30, 16)))
+        assert np.array_equal(x0[:, 16:], emb)
+        labels = np.arange(30) % 4
+        pooled = superpoint_pool(x0, build_partition(labels, cloud.positions), w)
+        for lab in range(4):
+            assert np.allclose(pooled.feats[lab], emb[labels == lab].mean(axis=0))
 
     def test_row_count(self, rng):
         cloud = PointCloud(
             positions=rng.uniform(size=(17, 3)), features=rng.uniform(size=(17, 3))
         )
-        w = seeded_init(0, [(3, 24), (24, 24)])
-        assert point_tokens(cloud, w, CFG).shape == (17, 24)
+        w = seeded_init(0, [(3, 40), (40, 24)])
+        assert point_tokens(cloud, w, CFG).shape == (17, 40 + 24)
+
+    def test_one_layer_hidden_part_is_raw_features(self, rng):
+        # no hidden layer, so no ReLU: negative features pass through
+        cloud = PointCloud(
+            positions=rng.uniform(size=(9, 3)), features=rng.normal(size=(9, 3))
+        )
+        x0 = point_tokens(cloud, seeded_init(0, [(3, 24)]), CFG)
+        assert np.array_equal(x0[:, :3], cloud.features)
+
+    def test_last_layer_fan_in_mismatch(self, rng):
+        cloud = PointCloud(
+            positions=rng.uniform(size=(5, 3)), features=rng.uniform(size=(5, 3))
+        )
+        w = seeded_init(0, [(3, 16), (20, 24)])
+        with pytest.raises(ShapeMismatch):
+            point_tokens(cloud, w, CFG)
 
     def test_feature_linearity_single_linear_layer(self, rng):
         # one layer, zero bias: MLP part is linear in the features
@@ -113,48 +152,54 @@ class TestPointTokens:
 
 
 class TestSuperpointPool:
+    # point rows of h=4 hidden and d=3 embedding columns; head maps 4 -> 3
+    HEAD = seeded_init(5, [(4, 3)])
+
     def test_single_superpoint_identical_tokens(self):
-        x0 = np.tile([1.0, 2.0, 3.0], (5, 1))
+        x0 = np.tile([1.0, -2.0, 3.0, 0.5, 7.0, 8.0, 9.0], (5, 1))
         part = build_partition(np.zeros(5, dtype=int), np.zeros((5, 3)))
-        pooled = superpoint_pool(x0, part)
-        assert np.allclose(pooled.feats, [[1.0, 2.0, 3.0]])
+        pooled = superpoint_pool(x0, part, self.HEAD)
+        assert np.allclose(pooled.feats, head_rows(x0[:1], self.HEAD))
 
     def test_two_superpoints(self):
-        x0 = np.array([[1.0], [1.0], [4.0]])
+        x0 = np.array([[1.0] * 7, [1.0] * 7, [4.0] * 7])
         part = build_partition(np.array([0, 0, 1]), np.zeros((3, 3)))
-        pooled = superpoint_pool(x0, part)
-        assert np.allclose(pooled.feats, [[1.0], [4.0]])
+        pooled = superpoint_pool(x0, part, self.HEAD)
+        assert np.allclose(pooled.feats, head_rows(x0[1:], self.HEAD))
 
     def test_matches_groupby_mean_oracle(self, rng):
-        n, m, d = 200, 5, 7
+        n, m = 200, 5
         labels = rng.integers(0, m, size=n)
         labels[rng.integers(0, n, size=10)] = -1
         labels[:m] = np.arange(m)  # ensure non-empty
-        x0 = rng.normal(size=(n, d))
+        x0 = rng.normal(size=(n, 7))
         part = build_partition(labels, rng.uniform(size=(n, 3)))
-        pooled = superpoint_pool(x0, part)
+        pooled = superpoint_pool(x0, part, self.HEAD)
+        tokens = head_rows(x0, self.HEAD)
         for lab in range(m):
-            oracle = x0[labels == lab].mean(axis=0)
+            oracle = tokens[labels == lab].mean(axis=0)
             assert np.allclose(pooled.feats[lab], oracle, atol=1e-12)
 
     def test_permutation_invariance(self, rng):
         n, m = 100, 4
         labels = np.concatenate([np.arange(m), rng.integers(0, m, size=n - m)])
-        x0 = rng.normal(size=(n, 6))
+        x0 = rng.normal(size=(n, 7))
         pos = rng.uniform(size=(n, 3))
         shuffle = rng.permutation(n)
-        a = superpoint_pool(x0, build_partition(labels, pos))
-        b = superpoint_pool(x0[shuffle], build_partition(labels[shuffle], pos[shuffle]))
+        a = superpoint_pool(x0, build_partition(labels, pos), self.HEAD)
+        b = superpoint_pool(
+            x0[shuffle], build_partition(labels[shuffle], pos[shuffle]), self.HEAD
+        )
         assert np.allclose(a.feats, b.feats, rtol=1e-9)
 
     def test_total_mass(self, rng):
         n, m = 120, 6
         labels = np.concatenate([np.arange(m), rng.integers(0, m, size=n - m)])
-        x0 = rng.normal(size=(n, 5))
+        x0 = rng.normal(size=(n, 7))
         part = build_partition(labels, rng.uniform(size=(n, 3)))
-        pooled = superpoint_pool(x0, part)
+        pooled = superpoint_pool(x0, part, self.HEAD)
         total = (part.counts[:, None] * pooled.feats).sum(axis=0)
-        assert np.allclose(total, x0.sum(axis=0), rtol=1e-9)
+        assert np.allclose(total, head_rows(x0, self.HEAD).sum(axis=0), rtol=1e-9)
 
     def test_empty_superpoint(self):
         # a partition claiming 2 superpoints but with only label 0 populated
@@ -164,7 +209,83 @@ class TestSuperpointPool:
             labels=np.array([0, 0]), centers=np.zeros((2, 3)), counts=np.array([2, 0])
         )
         with pytest.raises(EmptySuperpoint):
-            superpoint_pool(np.ones((2, 4)), part2)
+            superpoint_pool(np.ones((2, 7)), part2, self.HEAD)
+
+    def test_last_layer_fan_out_mismatch(self):
+        part = build_partition(np.array([0, 0, 1]), np.zeros((3, 3)))
+        with pytest.raises(ShapeMismatch):
+            superpoint_pool(np.ones((3, 8)), part, self.HEAD)
+
+
+class TestSuperpointTokensOracle:
+    """Pooling before the last layer against pooling the full point tokens."""
+
+    @pytest.mark.parametrize(
+        "shapes, d",
+        [
+            ([(5, 24)], 24),
+            ([(5, 40), (40, 24)], 24),
+            ([(5, 16), (16, 40), (40, 26)], 26),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_per_label_loop(self, shapes, d, seed):
+        rng = np.random.default_rng(seed)
+        n, m = 300, 23
+        cloud = PointCloud(
+            positions=rng.uniform(-4.0, 4.0, size=(n, 3)),
+            features=rng.normal(size=(n, 5)),
+        )
+        # shuffled label ids, every label used, 5% sentinel points
+        labels = rng.permutation(np.arange(n) % m)
+        labels[rng.choice(np.flatnonzero(np.arange(n) >= m), size=15, replace=False)] = -1
+        labels[:m] = rng.permutation(m)
+        w = seeded_init(seed + 10, shapes)
+        cfg = FourierEmbedConfig(d=d)
+        part = build_partition(labels, cloud.positions)
+        got = superpoint_pool(point_tokens(cloud, w, cfg), part, w).feats
+
+        tokens = mlp_project(cloud.features, w) + fourier_embed(cloud.positions, cfg)
+        oracle = np.zeros((m, d))
+        for lab in range(m):
+            rows = [i for i in range(n) if labels[i] == lab]
+            oracle[lab] = sum(tokens[i] for i in rows) / len(rows)
+        assert relative_error(got, oracle) <= 1e-12
+
+    def test_mlp_project_bit_equal_to_out_of_place(self, rng):
+        w = seeded_init(3, [(5, 16), (16, 40), (40, 24)])
+        x = rng.normal(size=(50, 5))
+        expected = x
+        for i in range(w.n_layers):
+            layer_w, layer_b = w.layer(i)
+            expected = expected @ layer_w + layer_b
+            if i < w.n_layers - 1:
+                expected = np.maximum(expected, 0.0)
+        before = x.copy()
+        assert np.array_equal(mlp_project(x, w), expected)
+        assert np.array_equal(x, before)
+
+    def test_segment_mean_bit_equal_to_out_of_place(self, rng):
+        n, m = 400, 37
+        labels = rng.permutation(np.arange(n) % m)
+        labels[rng.integers(0, n, size=20)] = -1
+        labels[:m] = np.arange(m)
+        values = rng.normal(size=(n, 9))
+        rows = np.flatnonzero(labels != -1)
+        counts = np.bincount(labels[rows], minlength=m)
+        member = sp.csr_matrix((np.ones(rows.size), (labels[rows], rows)), shape=(m, n))
+        means, got_counts = segment_mean(labels, m, values)
+        assert np.array_equal(means, member @ values / counts[:, None])
+        assert np.array_equal(got_counts, counts)
+
+    def test_split_returns_views(self):
+        w = seeded_init(2, [(5, 16), (16, 40), (40, 24)])
+        first, rest = w.split(-1)
+        assert first.shapes == ((5, 16), (16, 40)) and rest.shapes == ((40, 24),)
+        assert np.shares_memory(first.values, w.values)
+        assert np.shares_memory(rest.values, w.values)
+        assert np.array_equal(rest.layer(0)[0], w.layer(2)[0])
+        assert np.array_equal(first.layer(1)[1], w.layer(1)[1])
 
 
 class TestVoxelSuperpoints:
