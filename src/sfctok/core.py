@@ -159,6 +159,19 @@ def seeded_init(seed: int, shapes) -> SeededWeights:
     return SeededWeights(seed=seed, shapes=shapes, values=values)
 
 
+def label_counts(labels, m):
+    """Row count per label 0..m-1, SENTINEL rows skipped.
+
+    A label in range with no rows raises ``EmptySuperpoint`` naming it.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    counts = np.bincount(labels[labels != SENTINEL], minlength=m)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise EmptySuperpoint(int(empty[0]))
+    return counts
+
+
 def segment_mean(labels, m, values):
     """Mean of the ``values`` rows per label 0..m-1, and the row count per label.
 
@@ -168,11 +181,8 @@ def segment_mean(labels, m, values):
     each mean adds its rows in point order.
     """
     labels = np.asarray(labels, dtype=np.int64)
+    counts = label_counts(labels, m)
     rows = np.flatnonzero(labels != SENTINEL)
-    counts = np.bincount(labels[rows], minlength=m)
-    empty = np.flatnonzero(counts == 0)
-    if empty.size:
-        raise EmptySuperpoint(int(empty[0]))
     member = sp.csr_matrix(
         (np.ones(rows.size), (labels[rows], rows)), shape=(m, labels.shape[0])
     )

@@ -35,13 +35,6 @@ class InvalidShape(SfcTokError):
     pass
 
 
-# sfc
-class DegenerateExtent(SfcTokError):
-    def __init__(self, axis):
-        self.axis = axis
-        super().__init__(f"zero extent on axis {axis}")
-
-
 # tokenizer
 class WidthTooSmall(SfcTokError):
     pass

@@ -31,10 +31,6 @@ class VoteBatch:
     def n_edges(self):
         return self.src.shape[0]
 
-    @property
-    def total_votes(self):
-        return int(self.votes.sum())
-
 
 @dataclass(frozen=True)
 class SparseVoteGraph:

@@ -44,7 +44,6 @@ class TransportPlan:
     iterations: int
     residual: float
     converged: bool = False  # residual <= the solver's residual_tol
-    residual_history: np.ndarray = None
 
 
 def smooth_features(a_hat, tokens: TokenMatrix):
@@ -120,7 +119,6 @@ def sinkhorn(
     tau,
     max_iters=500,
     residual_tol=1e-9,
-    track_history=False,
 ) -> TransportPlan:
     """Sinkhorn scaling of the kernel exp(logits / tau) to marginals mu, nu.
 
@@ -165,7 +163,6 @@ def sinkhorn(
     v = np.ones(nu.shape[0])
     kv = k @ v
 
-    history = []
     iterations = 0
     residual = np.inf
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -191,8 +188,6 @@ def sinkhorn(
             kv = k @ v
             iterations = it + 1
             residual = max(np.abs(u * kv - mu).max(), np.abs(v * ktu - nu).max())
-            if track_history:
-                history.append(residual)
             if residual <= residual_tol:
                 break
     if iterations == 0:
@@ -210,7 +205,6 @@ def sinkhorn(
         iterations=iterations,
         residual=float(residual),
         converged=bool(residual <= residual_tol),
-        residual_history=np.array(history) if track_history else None,
     )
 
 
@@ -244,18 +238,11 @@ def _absorb(log_k, pot, scale, prod, log_marg, other):
     return pot
 
 
-def soft_pool(plan: TransportPlan, tokens: TokenMatrix, normalize=False) -> TokenMatrix:
-    """Merged tokens Z' = P^T S and centers C' = P^T C.
-
-    With ``normalize`` each output row is divided by its column marginal
-    nu_k, turning it into a proper weighted mean.
-    """
+def soft_pool(plan: TransportPlan, tokens: TokenMatrix) -> TokenMatrix:
+    """Merged tokens Z' = P^T S and centers C' = P^T C."""
     p = plan.plan
     if p.shape[0] != tokens.n_tokens:
         raise DimensionMismatch(f"plan {p.shape} vs {tokens.n_tokens} tokens")
     feats = p.T @ tokens.feats
     centers = p.T @ tokens.centers
-    if normalize:
-        feats = feats / plan.nu[:, None]
-        centers = centers / plan.nu[:, None]
     return TokenMatrix(feats=feats, centers=centers)

@@ -136,9 +136,7 @@ def run_pipeline(
 
     with _Stage("tokenize", timings):
         embed_cfg = tokenizer.FourierEmbedConfig(d=cfg.width)
-        x0 = tokenizer.point_tokens(scene, weights.point_mlp, embed_cfg)
-        s = tokenizer.superpoint_pool(x0, partition, weights.point_mlp)
-    del x0  # the (N, h+d) point rows; freed between stages, not inside one
+        s = tokenizer.superpoint_pool(scene, partition, weights.point_mlp, embed_cfg)
 
     with _Stage("enhance", timings):
         token_curves = sfc.serialize_all(partition.centers, b=cfg.bits)

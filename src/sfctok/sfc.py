@@ -13,8 +13,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateExtent
-
 
 class CurveKind(str, Enum):
     ZORDER = "zorder"
@@ -45,12 +43,11 @@ class CurveOrder:
         return self.keys.shape[0]
 
 
-def quantize(centers, b, strict=False):
+def quantize(centers, b):
     """Map K x 3 real coordinates onto the b-bit integer grid.
 
     Each axis is scaled by its own extrema: floor((2^b - 1) * (c - min) /
-    (max - min)). A zero-extent axis maps to 0 by default; ``strict`` raises
-    DegenerateExtent instead.
+    (max - min)). A zero-extent axis maps to 0.
     """
     if not 1 <= b <= 16:
         raise ValueError(f"bit depth {b} outside 1..16")
@@ -62,8 +59,6 @@ def quantize(centers, b, strict=False):
     top = (1 << b) - 1
     for axis in range(3):
         if span[axis] <= 0.0:
-            if strict:
-                raise DegenerateExtent(axis)
             continue
         g = np.floor(top * (centers[:, axis] - lo[axis]) / span[axis])
         out[:, axis] = np.clip(g, 0, top).astype(np.int64)
@@ -139,9 +134,9 @@ def encode(grid, kind, b):
     return hilbert_encode(g, b)
 
 
-def serialize(centers, kind, b=10, strict=False) -> CurveOrder:
+def serialize(centers, kind, b=10) -> CurveOrder:
     """Quantize centers and produce the stable key-sorted traversal order."""
-    grid = quantize(centers, b, strict=strict)
+    grid = quantize(centers, b)
     keys = encode(grid, kind, b)
     perm = np.argsort(keys, kind="stable")
     inv_perm = np.empty_like(perm)
@@ -149,6 +144,6 @@ def serialize(centers, kind, b=10, strict=False) -> CurveOrder:
     return CurveOrder(kind=kind, keys=keys, perm=perm, inv_perm=inv_perm)
 
 
-def serialize_all(centers, b=10, strict=False):
+def serialize_all(centers, b=10):
     """Orders for all four curve kinds over one set of centers."""
-    return [serialize(centers, kind, b=b, strict=strict) for kind in ALL_CURVES]
+    return [serialize(centers, kind, b=b) for kind in ALL_CURVES]

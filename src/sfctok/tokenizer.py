@@ -6,6 +6,14 @@ embedding of box-normalized coordinates. The MLP's last layer is linear and
 so is the mean, so the mean is taken over the last hidden layer and the
 embedding, and the last layer runs once per superpoint instead of once per
 point. Also hosts the voxel fallback segmenter.
+
+The point rows are never held in full. ``superpoint_pool`` sorts the points
+by label once and streams them in chunks of about ``CHUNK_POINTS`` points
+that hold whole superpoints; each chunk's rows are made, averaged into one
+(M, h+d) array and dropped. Memory is O(M (h+d) + chunk (h+d)), not
+O(N (h+d)). Each mean adds its rows in ascending point order, as one
+product over all points would, and the embedding box comes from the whole
+cloud, so the tokens do not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -20,9 +28,14 @@ from .core import (
     SuperpointPartition,
     TokenMatrix,
     build_partition,
+    label_counts,
     segment_mean,
 )
 from .errors import ShapeMismatch, WidthTooSmall
+
+# Points per chunk of the tokenize stream. Chunks hold whole superpoints, so
+# a superpoint with more points than this gets a chunk of its own.
+CHUNK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -41,12 +54,17 @@ class FourierEmbedConfig:
         return self.d // 6
 
 
-def _box_normalize(positions):
-    """Scale coordinates into [0,1]^3 by the bounding box; flat axes map to 0."""
+def bounding_box(positions):
+    """(lo, span) of the coordinates' axis-aligned bounding box."""
     positions = np.asarray(positions, dtype=np.float64)
     lo = positions.min(axis=0)
-    hi = positions.max(axis=0)
-    span = hi - lo
+    return lo, positions.max(axis=0) - lo
+
+
+def _box_normalize(positions, box):
+    """Scale coordinates into [0,1]^3 by ``box``; flat axes map to 0."""
+    positions = np.asarray(positions, dtype=np.float64)
+    lo, span = box
     u = np.zeros_like(positions)
     for axis in range(3):
         if span[axis] > 0.0:
@@ -54,15 +72,18 @@ def _box_normalize(positions):
     return u
 
 
-def fourier_embed(positions, cfg: FourierEmbedConfig):
+def fourier_embed(positions, cfg: FourierEmbedConfig, box=None):
     """K x d sin/cos features of box-relative coordinates, bounded in [-1, 1].
 
-    The box is the input's own extrema, which makes the embedding
-    translation invariant.
+    The box defaults to the input's own extrema, which makes the embedding
+    translation invariant. Points embedded in chunks take the whole cloud's
+    ``bounding_box``, so each row is the one the whole cloud would give.
     """
     if cfg.d < 6:
         raise WidthTooSmall(f"embedding width {cfg.d} < 6")
-    u = _box_normalize(positions)  # (K, 3)
+    if box is None:
+        box = bounding_box(positions)
+    u = _box_normalize(positions, box)  # (K, 3)
     freqs = cfg.base ** np.arange(cfg.num_freqs)  # (F,)
     phase = 2.0 * np.pi * u[:, :, None] * freqs[None, None, :]  # (K, 3, F)
     out = np.zeros((u.shape[0], cfg.d))
@@ -88,18 +109,25 @@ def mlp_project(features, weights: SeededWeights):
     return x
 
 
-def point_tokens(cloud: PointCloud, weights: SeededWeights, cfg: FourierEmbedConfig):
-    """N x (h+d) point rows: the MLP's last hidden layer, then FourierEmbed.
+def _split_head(weights: SeededWeights):
+    """(hidden layers, last layer) of the point MLP."""
+    if weights.n_layers < 1:
+        raise ShapeMismatch("the point MLP has no layers")
+    return weights.split(-1)
+
+
+def point_tokens(
+    cloud: PointCloud, weights: SeededWeights, cfg: FourierEmbedConfig, box=None
+):
+    """K x (h+d) point rows: the MLP's last hidden layer, then FourierEmbed.
 
     The hidden part is ReLU(every layer but the last) of the features, h wide
     (the raw features for a one-layer MLP). ``superpoint_pool`` applies the
-    last layer after the mean.
+    last layer after the mean. ``box`` is passed on to ``fourier_embed``.
     """
-    if weights.n_layers < 1:
-        raise ShapeMismatch("the point MLP has no layers")
-    hidden, head = weights.split(-1)
+    hidden, head = _split_head(weights)
     h = head.shapes[0][0]
-    coor = fourier_embed(cloud.positions, cfg)
+    coor = fourier_embed(cloud.positions, cfg, box)
     x0 = np.empty((coor.shape[0], h + coor.shape[1]))
     x0[:, h:] = coor
     del coor  # free the embedding before the hidden layer allocates its rows
@@ -113,19 +141,62 @@ def point_tokens(cloud: PointCloud, weights: SeededWeights, cfg: FourierEmbedCon
     return x0
 
 
-def superpoint_pool(x0, part: SuperpointPartition, weights: SeededWeights) -> TokenMatrix:
-    """Superpoint tokens from ``point_tokens`` rows; sentinel points are excluded.
+def _chunks(sorted_labels, n_sentinel):
+    """(lo, hi) spans of the label-sorted points, about CHUNK_POINTS each.
 
-    The mean runs over the point rows, then the MLP's last layer over the h
-    hidden columns of each mean, plus the mean of the embedding columns.
+    Cuts fall at label starts, or anywhere in the leading sentinel run, so
+    every chunk holds whole superpoints.
     """
-    _, head = weights.split(-1)
+    n = sorted_labels.shape[0]
+    cuts = np.union1d(
+        np.arange(0, max(n_sentinel, 1), CHUNK_POINTS),  # 0 is always a cut
+        np.flatnonzero(sorted_labels[1:] != sorted_labels[:-1]) + 1,
+    )
+    cuts = np.append(cuts, n)
+    lo = 0
+    while lo < n:
+        hi = cuts[np.searchsorted(cuts, lo + CHUNK_POINTS, side="right") - 1]
+        if hi <= lo:  # the superpoint at lo alone exceeds a chunk
+            hi = cuts[np.searchsorted(cuts, lo, side="right")]
+        yield lo, int(hi)
+        lo = int(hi)
+
+
+def superpoint_pool(
+    cloud: PointCloud,
+    part: SuperpointPartition,
+    weights: SeededWeights,
+    cfg: FourierEmbedConfig,
+) -> TokenMatrix:
+    """Superpoint tokens of ``cloud``; sentinel points are excluded.
+
+    The points are sorted by label once and streamed in chunks of whole
+    superpoints. Each chunk's ``point_tokens`` rows (with the whole cloud's
+    box) are averaged per label into one (M, h+d) array; then the MLP's last
+    layer runs over the h hidden columns of each mean, plus the mean of the
+    embedding columns. Every point goes through ``point_tokens`` once.
+    """
+    _, head = _split_head(weights)
     h, d = head.shapes[0]
-    if h + d != x0.shape[1]:
-        raise ShapeMismatch(
-            f"last layer fan-out {d} != embedding width {x0.shape[1] - h}"
-        )
-    pooled, _ = segment_mean(part.labels, part.n_superpoints, x0)
+    if d != cfg.d:
+        raise ShapeMismatch(f"last layer fan-out {d} != embedding width {cfg.d}")
+    labels = np.asarray(part.labels, dtype=np.int64)
+    counts = label_counts(labels, part.n_superpoints)
+    n_sentinel = labels.shape[0] - int(counts.sum())
+    order = np.argsort(labels, kind="stable")  # sentinels first
+    sorted_labels = labels[order]
+    box = bounding_box(cloud.positions)
+    pooled = np.empty((part.n_superpoints, h + d))
+    for lo, hi in _chunks(sorted_labels, n_sentinel):
+        idx = order[lo:hi]
+        chunk = PointCloud(positions=cloud.positions[idx], features=cloud.features[idx])
+        rows = point_tokens(chunk, weights, cfg, box)
+        skip = max(n_sentinel - lo, 0)
+        if skip < hi - lo:
+            lab = sorted_labels[lo + skip : hi]
+            first, last = lab[0], lab[-1]
+            means, _ = segment_mean(lab - first, last + 1 - first, rows[skip:])
+            pooled[first : last + 1] = means
     feats = mlp_project(pooled[:, :h], head)
     feats += pooled[:, h:]
     return TokenMatrix(feats=feats, centers=part.centers)

@@ -111,7 +111,7 @@ class TestCoalesce:
         out = coalesce(batch_from(edges))
         assert out.coalesced
         assert edge_tuples(out) == dict_coalesce(edges)
-        assert out.total_votes == int(votes.sum())
+        assert int(out.votes.sum()) == int(votes.sum())
 
     def test_negative_id_rejected(self):
         with pytest.raises(InvalidVoteIds):

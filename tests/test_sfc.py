@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfctok.errors import DegenerateExtent
 from sfctok.sfc import (
     ALL_CURVES,
     CurveKind,
@@ -32,11 +31,6 @@ class TestQuantize:
     def test_single_center_degenerate(self):
         g = quantize(np.array([[1.0, 2.0, 3.0]]), 8)
         assert np.array_equal(g, [[0, 0, 0]])
-
-    def test_strict_mode_raises(self):
-        with pytest.raises(DegenerateExtent) as exc:
-            quantize(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]]), 4, strict=True)
-        assert exc.value.axis == 2
 
     def test_hand_evaluated_middle_row(self):
         centers = np.array([[0.0, 0, 0], [1.0, 2, 3], [2.0, 4, 6]])

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+
+from sfctok import tokenizer
 
 from sfctok.core import (
     PointCloud,
@@ -12,7 +16,10 @@ from sfctok.core import (
 from sfctok.errors import EmptySuperpoint, ShapeMismatch, WidthTooSmall
 from sfctok.synth import make_scene
 from sfctok.tokenizer import (
+    CHUNK_POINTS,
     FourierEmbedConfig,
+    _chunks,
+    bounding_box,
     fourier_embed,
     mlp_project,
     point_tokens,
@@ -100,6 +107,21 @@ def relative_error(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
+def unchunked_pool(cloud, labels, m, w, cfg):
+    """The pooled tokens from all N point rows at once: one ``segment_mean``
+    over the full rows, then the last layer over the hidden columns."""
+    _, head = w.split(-1)
+    h = head.shapes[0][0]
+    pooled, _ = segment_mean(labels, m, point_tokens(cloud, w, cfg))
+    return mlp_project(pooled[:, :h], head) + pooled[:, h:]
+
+
+def per_label_oracle(cloud, labels, m, w, cfg):
+    """Mean of the full point tokens (every MLP layer plus the embedding)."""
+    tokens = mlp_project(cloud.features, w) + fourier_embed(cloud.positions, cfg)
+    return np.stack([tokens[labels == lab].mean(axis=0) for lab in range(m)])
+
+
 class TestPointTokens:
     def test_zero_mlp_reduces_to_fourier(self, rng):
         cloud = PointCloud(
@@ -111,7 +133,7 @@ class TestPointTokens:
         assert np.array_equal(x0[:, :16], np.zeros((30, 16)))
         assert np.array_equal(x0[:, 16:], emb)
         labels = np.arange(30) % 4
-        pooled = superpoint_pool(x0, build_partition(labels, cloud.positions), w)
+        pooled = superpoint_pool(cloud, build_partition(labels, cloud.positions), w, CFG)
         for lab in range(4):
             assert np.allclose(pooled.feats[lab], emb[labels == lab].mean(axis=0))
 
@@ -150,32 +172,60 @@ class TestPointTokens:
         b = mlp_project(2.5 * feats, w)
         assert np.allclose(b, 2.5 * a)
 
+    def test_subset_with_cloud_box_gives_the_cloud_rows(self, rng):
+        cloud = PointCloud(
+            positions=rng.uniform(-2.0, 5.0, size=(40, 3)),
+            features=rng.normal(size=(40, 3)),
+        )
+        w = seeded_init(1, [(3, 16), (16, 24)])
+        rows = [3, 7, 8, 30]
+        subset = PointCloud(positions=cloud.positions[rows], features=cloud.features[rows])
+        whole = point_tokens(cloud, w, CFG)
+        box = bounding_box(cloud.positions)
+        assert np.array_equal(point_tokens(subset, w, CFG, box), whole[rows])
+        assert not np.allclose(point_tokens(subset, w, CFG), whole[rows])
+
 
 class TestSuperpointPool:
-    # point rows of h=4 hidden and d=3 embedding columns; head maps 4 -> 3
-    HEAD = seeded_init(5, [(4, 3)])
+    # one-layer MLP: the point rows are the 4 raw features, then a d=6
+    # embedding; the head maps 4 -> 6
+    HEAD = seeded_init(5, [(4, 6)])
+    CFG6 = FourierEmbedConfig(d=6)
+
+    def pool(self, cloud, part):
+        return superpoint_pool(cloud, part, self.HEAD, self.CFG6)
+
+    def rows(self, cloud):
+        return point_tokens(cloud, self.HEAD, self.CFG6)
 
     def test_single_superpoint_identical_tokens(self):
-        x0 = np.tile([1.0, -2.0, 3.0, 0.5, 7.0, 8.0, 9.0], (5, 1))
-        part = build_partition(np.zeros(5, dtype=int), np.zeros((5, 3)))
-        pooled = superpoint_pool(x0, part, self.HEAD)
-        assert np.allclose(pooled.feats, head_rows(x0[:1], self.HEAD))
+        cloud = PointCloud(
+            positions=np.tile([0.5, -1.0, 2.0], (5, 1)),
+            features=np.tile([1.0, -2.0, 3.0, 0.5], (5, 1)),
+        )
+        part = build_partition(np.zeros(5, dtype=int), cloud.positions)
+        pooled = self.pool(cloud, part)
+        assert np.allclose(pooled.feats, head_rows(self.rows(cloud)[:1], self.HEAD))
 
     def test_two_superpoints(self):
-        x0 = np.array([[1.0] * 7, [1.0] * 7, [4.0] * 7])
-        part = build_partition(np.array([0, 0, 1]), np.zeros((3, 3)))
-        pooled = superpoint_pool(x0, part, self.HEAD)
-        assert np.allclose(pooled.feats, head_rows(x0[1:], self.HEAD))
+        cloud = PointCloud(
+            positions=np.array([[0.0, 0, 0], [0.0, 0, 0], [1.0, 2.0, 3.0]]),
+            features=np.array([[1.0] * 4, [1.0] * 4, [4.0] * 4]),
+        )
+        part = build_partition(np.array([0, 0, 1]), cloud.positions)
+        pooled = self.pool(cloud, part)
+        assert np.allclose(pooled.feats, head_rows(self.rows(cloud)[1:], self.HEAD))
 
     def test_matches_groupby_mean_oracle(self, rng):
         n, m = 200, 5
         labels = rng.integers(0, m, size=n)
         labels[rng.integers(0, n, size=10)] = -1
         labels[:m] = np.arange(m)  # ensure non-empty
-        x0 = rng.normal(size=(n, 7))
-        part = build_partition(labels, rng.uniform(size=(n, 3)))
-        pooled = superpoint_pool(x0, part, self.HEAD)
-        tokens = head_rows(x0, self.HEAD)
+        cloud = PointCloud(
+            positions=rng.uniform(size=(n, 3)), features=rng.normal(size=(n, 4))
+        )
+        pooled = self.pool(cloud, build_partition(labels, cloud.positions))
+        tokens = head_rows(self.rows(cloud), self.HEAD)
         for lab in range(m):
             oracle = tokens[labels == lab].mean(axis=0)
             assert np.allclose(pooled.feats[lab], oracle, atol=1e-12)
@@ -183,38 +233,49 @@ class TestSuperpointPool:
     def test_permutation_invariance(self, rng):
         n, m = 100, 4
         labels = np.concatenate([np.arange(m), rng.integers(0, m, size=n - m)])
-        x0 = rng.normal(size=(n, 7))
         pos = rng.uniform(size=(n, 3))
+        feats = rng.normal(size=(n, 4))
         shuffle = rng.permutation(n)
-        a = superpoint_pool(x0, build_partition(labels, pos), self.HEAD)
-        b = superpoint_pool(
-            x0[shuffle], build_partition(labels[shuffle], pos[shuffle]), self.HEAD
+        a = self.pool(
+            PointCloud(positions=pos, features=feats), build_partition(labels, pos)
+        )
+        b = self.pool(
+            PointCloud(positions=pos[shuffle], features=feats[shuffle]),
+            build_partition(labels[shuffle], pos[shuffle]),
         )
         assert np.allclose(a.feats, b.feats, rtol=1e-9)
 
     def test_total_mass(self, rng):
         n, m = 120, 6
         labels = np.concatenate([np.arange(m), rng.integers(0, m, size=n - m)])
-        x0 = rng.normal(size=(n, 7))
-        part = build_partition(labels, rng.uniform(size=(n, 3)))
-        pooled = superpoint_pool(x0, part, self.HEAD)
+        cloud = PointCloud(
+            positions=rng.uniform(size=(n, 3)), features=rng.normal(size=(n, 4))
+        )
+        part = build_partition(labels, cloud.positions)
+        pooled = self.pool(cloud, part)
         total = (part.counts[:, None] * pooled.feats).sum(axis=0)
-        assert np.allclose(total, head_rows(x0, self.HEAD).sum(axis=0), rtol=1e-9)
+        expected = head_rows(self.rows(cloud), self.HEAD).sum(axis=0)
+        assert np.allclose(total, expected, rtol=1e-9)
 
     def test_empty_superpoint(self):
-        # a partition claiming 2 superpoints but with only label 0 populated
+        # a partition claiming 3 superpoints but with label 1 unpopulated
         from sfctok.core import SuperpointPartition
 
-        part2 = SuperpointPartition(
-            labels=np.array([0, 0]), centers=np.zeros((2, 3)), counts=np.array([2, 0])
+        part3 = SuperpointPartition(
+            labels=np.array([0, 2, 0]),
+            centers=np.zeros((3, 3)),
+            counts=np.array([2, 0, 1]),
         )
-        with pytest.raises(EmptySuperpoint):
-            superpoint_pool(np.ones((2, 7)), part2, self.HEAD)
+        cloud = PointCloud(positions=np.eye(3), features=np.ones((3, 4)))
+        with pytest.raises(EmptySuperpoint) as exc:
+            self.pool(cloud, part3)
+        assert exc.value.label == 1
 
     def test_last_layer_fan_out_mismatch(self):
-        part = build_partition(np.array([0, 0, 1]), np.zeros((3, 3)))
+        cloud = PointCloud(positions=np.eye(3), features=np.ones((3, 4)))
+        part = build_partition(np.array([0, 0, 1]), cloud.positions)
         with pytest.raises(ShapeMismatch):
-            superpoint_pool(np.ones((3, 8)), part, self.HEAD)
+            superpoint_pool(cloud, part, self.HEAD, FourierEmbedConfig(d=12))
 
 
 class TestSuperpointTokensOracle:
@@ -243,7 +304,7 @@ class TestSuperpointTokensOracle:
         w = seeded_init(seed + 10, shapes)
         cfg = FourierEmbedConfig(d=d)
         part = build_partition(labels, cloud.positions)
-        got = superpoint_pool(point_tokens(cloud, w, cfg), part, w).feats
+        got = superpoint_pool(cloud, part, w, cfg).feats
 
         tokens = mlp_project(cloud.features, w) + fourier_embed(cloud.positions, cfg)
         oracle = np.zeros((m, d))
@@ -251,6 +312,7 @@ class TestSuperpointTokensOracle:
             rows = [i for i in range(n) if labels[i] == lab]
             oracle[lab] = sum(tokens[i] for i in rows) / len(rows)
         assert relative_error(got, oracle) <= 1e-12
+        assert np.array_equal(got, unchunked_pool(cloud, labels, m, w, cfg))
 
     def test_mlp_project_bit_equal_to_out_of_place(self, rng):
         w = seeded_init(3, [(5, 16), (16, 40), (40, 24)])
@@ -286,6 +348,107 @@ class TestSuperpointTokensOracle:
         assert np.shares_memory(rest.values, w.values)
         assert np.array_equal(rest.layer(0)[0], w.layer(2)[0])
         assert np.array_equal(first.layer(1)[1], w.layer(1)[1])
+
+
+def chunked_scene(case, rng):
+    """(cloud, labels, m) whose label-sorted points span several chunks."""
+    c = CHUNK_POINTS
+    if case == "many_chunks":  # N > 2 chunks, shuffled labels, 5% sentinels
+        n, m = 2 * c + 1000, 300
+        labels = np.concatenate([rng.permutation(m), rng.integers(0, m, size=n - m)])
+        labels[rng.choice(np.arange(m, n), size=n // 20, replace=False)] = -1
+        pos = rng.uniform(-3.0, 4.0, size=(n, 3))
+    elif case == "giant_superpoint":  # label 0, sorted first, exceeds a chunk
+        n, m = 3 * c + 300, 40
+        labels = np.concatenate([np.full(c + 500, 0), np.arange(n - c - 500) % m])
+        labels = rng.permutation(labels)
+        pos = rng.uniform(0.0, 2.0, size=(n, 3))
+    elif case == "long_sentinel_run":  # the sentinel run alone exceeds a chunk
+        n, m = 2 * c + 700, 90
+        labels = np.concatenate([np.full(c + c // 2, -1), np.arange(n - c - c // 2) % m])
+        labels = rng.permutation(labels)
+        pos = rng.normal(size=(n, 3))
+    else:  # "chunk_box": labels are x slabs, so each chunk spans a thin slab
+        n, m = 3 * c, 64
+        pos = rng.uniform(size=(n, 3)) * np.array([10.0, 1.0, 1.0])
+        labels = np.minimum((pos[:, 0] / 10.0 * m).astype(np.int64), m - 1)
+    cloud = PointCloud(positions=pos, features=rng.normal(size=(n, 3)))
+    return cloud, labels, m
+
+
+CHUNK_CASES = ["many_chunks", "giant_superpoint", "long_sentinel_run", "chunk_box"]
+
+
+class TestChunkedPool:
+    """The streamed pool across chunk boundaries."""
+
+    W = seeded_init(4, [(3, 16), (16, 12)])
+    CFG12 = FourierEmbedConfig(d=12)
+
+    @pytest.mark.parametrize("case", CHUNK_CASES)
+    def test_matches_oracle_and_unchunked_formula(self, case, rng):
+        cloud, labels, m = chunked_scene(case, rng)
+        part = build_partition(labels, cloud.positions)
+        got = superpoint_pool(cloud, part, self.W, self.CFG12).feats
+        oracle = per_label_oracle(cloud, labels, m, self.W, self.CFG12)
+        assert relative_error(got, oracle) <= 1e-12
+        assert np.array_equal(got, unchunked_pool(cloud, labels, m, self.W, self.CFG12))
+
+    @pytest.mark.parametrize("case", CHUNK_CASES)
+    def test_chunks_cut_at_label_starts(self, case, rng):
+        _, labels, _ = chunked_scene(case, rng)
+        sorted_labels = np.sort(labels, kind="stable")
+        n_sentinel = int((labels == -1).sum())
+        spans = list(_chunks(sorted_labels, n_sentinel))
+        assert len(spans) >= 3
+        assert spans[0][0] == 0 and spans[-1][1] == labels.size
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        for lo, hi in spans:
+            if lo > n_sentinel:  # past the sentinel run, cut only between labels
+                assert sorted_labels[lo - 1] != sorted_labels[lo]
+            one_label = sorted_labels[lo] == sorted_labels[hi - 1] != -1
+            assert hi - lo <= CHUNK_POINTS or one_label
+
+    def test_chunk_boxes_differ_from_the_cloud_box(self, rng):
+        cloud, labels, _ = chunked_scene("chunk_box", rng)
+        order = np.argsort(labels, kind="stable")
+        _, span = bounding_box(cloud.positions)
+        for lo, hi in _chunks(labels[order], 0):
+            _, chunk_span = bounding_box(cloud.positions[order[lo:hi]])
+            assert chunk_span[0] < 0.5 * span[0]
+
+    def test_every_point_tokenized_once(self, rng, monkeypatch):
+        cloud, labels, m = chunked_scene("long_sentinel_run", rng)
+        seen = []
+        raw = tokenizer.point_tokens
+
+        def counting(chunk, *args):
+            seen.append(chunk.n_points)
+            return raw(chunk, *args)
+
+        monkeypatch.setattr(tokenizer, "point_tokens", counting)
+        superpoint_pool(cloud, build_partition(labels, cloud.positions), self.W, self.CFG12)
+        assert len(seen) >= 3 and sum(seen) == cloud.n_points
+
+
+class TestStreamMemory:
+    def test_tokenize_peak_below_half_the_point_rows(self):
+        # 10+ chunks at h + d = 128: the full (N, h+d) point rows alone
+        # would take N * 128 * 8 bytes, twice the bound
+        n, width = 12 * CHUNK_POINTS, 64
+        cloud = make_scene(n, seed=5)
+        part = voxel_superpoints(cloud, 0.6)
+        w = seeded_init(0, [(cloud.n_channels, width), (width, width)])
+        cfg = FourierEmbedConfig(d=width)
+        bound = 0.5 * n * (2 * width) * 8
+        tracemalloc.start()
+        try:
+            superpoint_pool(cloud, part, w, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert part.n_superpoints * 2 * width * 8 < 0.1 * bound
+        assert peak < bound
 
 
 class TestVoxelSuperpoints:
