@@ -7,12 +7,12 @@ results are fused by uniform averaging and added back as a residual.
 
 The mix is linear along the token axis and the same for every channel, so a
 full window applies one fixed L x L matrix (the gated rFFT round trip of the
-identity, mean-centering included). Away from the sequence ends every block
-of R = stride output rows is then the same R x ((ceil(L/R) - 1) R + L) band
-operator applied to the input span that covers it, and all such blocks are
-evaluated by one batched matrix product over a strided view of the
-sequence. Only the rows near the two ends, where windows are missing or
-clipped, are mixed window by window through the FFT.
+identity). Away from the sequence ends every block of R = stride output rows
+is then the same R x ((ceil(L/R) - 1) R + L) band operator applied to the
+input span that covers it, and all such blocks are evaluated by one batched
+matrix product over a strided view of the sequence. Only the rows near the
+two ends, where windows are missing or clipped, are mixed window by window
+through the FFT.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class EnhancerConfig:
     stride: int = 16
     gate: np.ndarray = None  # (window//2 + 1,) nonnegative
     curves: tuple = ()  # CurveOrders built from the token centers
-    mean_center: bool = False  # subtract/restore per-window channel means
 
     def __post_init__(self):
         if not 1 <= self.stride <= self.window:
@@ -78,17 +77,11 @@ def squared_hann(window: int):
     return h * h
 
 
-def _mix_window(window, gate, mean_center):
+def _mix_window(window, gate):
     """Gate one window (any length) in its rFFT spectrum."""
     n = window.shape[0]
-    if mean_center:
-        mean = window.mean(axis=0, keepdims=True)
-        window = window - mean
     spectrum = rfft_forward(window, axis=0) * gate[: n // 2 + 1, None]
-    out = rfft_inverse(spectrum, n=n, axis=0)
-    if mean_center:
-        out = out + mean
-    return out
+    return rfft_inverse(spectrum, n=n, axis=0)
 
 
 def _edge_rows(seq, cfg: EnhancerConfig, lo, hi):
@@ -103,7 +96,7 @@ def _edge_rows(seq, cfg: EnhancerConfig, lo, hi):
     first = max(0, -(-(lo - L + 1) // R))
     for s0 in range(first * R, hi, R):
         end = min(s0 + L, k)
-        mixed = _mix_window(seq[s0:end], cfg.gate, cfg.mean_center)
+        mixed = _mix_window(seq[s0:end], cfg.gate)
         a, b = max(s0, lo), min(end, hi)
         part = mixed[a - s0 : b - s0]
         acc[a - lo : b - lo] += part * w[a - s0 : b - s0, None]
@@ -132,7 +125,7 @@ def _band_operator(cfg: EnhancerConfig):
     m = -(-L // R)
     # window rows tR + r >= L do not exist: pad them with zero weight
     g = np.zeros((m * R, L))
-    g[:L] = _mix_window(np.eye(L), cfg.gate, cfg.mean_center)  # mixed = g @ window
+    g[:L] = _mix_window(np.eye(L), cfg.gate)  # mixed = g @ window
     hann = np.zeros(m * R)
     hann[:L] = squared_hann(L)
     covered = np.arange(m * R) < L

@@ -34,20 +34,31 @@ from .core import (
 from .errors import ShapeMismatch, WidthTooSmall
 
 # Points per chunk of the tokenize stream. Chunks hold whole superpoints, so
-# a superpoint with more points than this gets a chunk of its own.
-CHUNK_POINTS = 4096
+# a superpoint with more points than this gets a chunk of its own. At 1024
+# points a chunk's (2, 3, F, K) embedding work rows stay in cache for their
+# transposed copy into the (K, d) layout, and its rows take 4 MB at
+# h + d = 512.
+CHUNK_POINTS = 1024
+
+# fourier_embed calls sin/cos on every ANCHOR_EVERY-th band and doubles the
+# angle for the bands in between.
+ANCHOR_EVERY = 4
+TWO_PI = 2.0 * np.pi
+TWO_PI_TAIL = 2.4492935982947064e-16  # 2 pi - TWO_PI, rounded to float64
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for Dekker's product
+_TWO_PI_HI = _SPLIT * TWO_PI - (_SPLIT * TWO_PI - TWO_PI)
+_TWO_PI_LO = TWO_PI - _TWO_PI_HI
 
 
 @dataclass(frozen=True)
 class FourierEmbedConfig:
-    """Geometric frequency bands base^0 .. base^{num_freqs-1} per axis.
+    """Octave frequency bands 2^0 .. 2^{num_freqs-1} per axis.
 
     Output width d holds sin/cos pairs over 3 axes (6 entries per band);
     the remainder beyond 6*num_freqs is zero-padded.
     """
 
     d: int
-    base: float = 2.0
 
     @property
     def num_freqs(self):
@@ -72,24 +83,78 @@ def _box_normalize(positions, box):
     return u
 
 
+def _two_pi_residual(u):
+    """2 pi u - fl(2 pi u) for u in [0, 1], to ~1e-32 absolute.
+
+    Dekker's two-product gives the rounding error of fl(2 pi) * u exactly;
+    the float64 tail of 2 pi adds the part of the product fl(2 pi) misses.
+    """
+    t = TWO_PI * u
+    c = _SPLIT * u
+    u_hi = c - (c - u)
+    u_lo = u - u_hi
+    err = (_TWO_PI_HI * u_hi - t) + _TWO_PI_HI * u_lo + _TWO_PI_LO * u_hi
+    err += _TWO_PI_LO * u_lo
+    err += TWO_PI_TAIL * u
+    return err
+
+
+def _octave_sincos(u, n_freqs):
+    """(2, 3, F, K) sin/cos of fl(2 pi u) * 2^k, k < F, for u: (3, K) in [0, 1].
+
+    Band-major, so each doubling runs over contiguous rows of K points.
+    """
+    n_anchor = -(-n_freqs // ANCHOR_EVERY)
+    scale = 2.0 ** (ANCHOR_EVERY * np.arange(n_anchor, dtype=np.float64))[:, None]
+    phase = u[:, None, :] * scale  # (3, A, K): u 2^k, exact
+    phase -= np.floor(phase)
+    phase *= TWO_PI
+    phase -= _two_pi_residual(u)[:, None, :] * scale
+    # (sin/cos, axis, anchor, band after the anchor, point)
+    work = np.empty((2, 3, n_anchor, ANCHOR_EVERY, u.shape[1]))
+    sin, cos = work
+    np.sin(phase, out=sin[:, :, 0])
+    np.cos(phase, out=cos[:, :, 0])
+    for j in range(1, ANCHOR_EVERY):
+        s, c = sin[:, :, j - 1], cos[:, :, j - 1]
+        np.multiply(s, c, out=sin[:, :, j])
+        sin[:, :, j] *= 2.0
+        np.multiply(c - s, c + s, out=cos[:, :, j])
+    return work.reshape(2, 3, -1, u.shape[1])[:, :, :n_freqs]
+
+
 def fourier_embed(positions, cfg: FourierEmbedConfig, box=None):
     """K x d sin/cos features of box-relative coordinates, bounded in [-1, 1].
 
-    The box defaults to the input's own extrema, which makes the embedding
-    translation invariant. Points embedded in chunks take the whole cloud's
-    ``bounding_box``, so each row is the one the whole cloud would give.
+    Column ``a*F + k`` holds sin(t * 2^k) of axis a, with t = fl(2 pi u)
+    for the box-normalized coordinate u; the next 3F columns hold the
+    cosines, then zero padding. The box defaults to the input's own
+    extrema, which makes the embedding translation invariant. Points
+    embedded in chunks take the whole cloud's ``bounding_box``, so each row
+    is the one the whole cloud would give.
+
+    No large argument reaches sin/cos, and only one band in
+    ``ANCHOR_EVERY`` calls them. Two identities give the other values:
+
+    - Exact reduction. t * 2^k is exact and corr = 2 pi u - t is known to
+      ~1e-32 (``_two_pi_residual``), so t * 2^k = 2 pi frac(u 2^k)
+      - corr 2^k (mod 2 pi), a phase in [0, 2 pi] up to ~1e-3.
+    - Angle doubling. Each anchor band's sin/cos come from its reduced
+      phase; the bands after it follow from sin 2x = 2 sin x cos x and
+      cos 2x = (cos x - sin x)(cos x + sin x).
+
+    The reduced phase is off by ~1e-15 and each doubling doubles that, so
+    the values stay within ~1e-14 of sin/cos of t * 2^k evaluated directly.
     """
     if cfg.d < 6:
         raise WidthTooSmall(f"embedding width {cfg.d} < 6")
     if box is None:
         box = bounding_box(positions)
     u = _box_normalize(positions, box)  # (K, 3)
-    freqs = cfg.base ** np.arange(cfg.num_freqs)  # (F,)
-    phase = 2.0 * np.pi * u[:, :, None] * freqs[None, None, :]  # (K, 3, F)
-    out = np.zeros((u.shape[0], cfg.d))
-    used = 6 * cfg.num_freqs
-    out[:, : used // 2] = np.sin(phase).reshape(u.shape[0], -1)
-    out[:, used // 2 : used] = np.cos(phase).reshape(u.shape[0], -1)
+    k_pts, n_freqs = u.shape[0], cfg.num_freqs
+    out = np.zeros((k_pts, cfg.d))
+    used = out[:, : 6 * n_freqs].reshape(k_pts, 2, 3, n_freqs)
+    used.transpose(1, 2, 3, 0)[...] = _octave_sincos(np.ascontiguousarray(u.T), n_freqs)
     return out
 
 
@@ -197,6 +262,7 @@ def superpoint_pool(
             first, last = lab[0], lab[-1]
             means, _ = segment_mean(lab - first, last + 1 - first, rows[skip:])
             pooled[first : last + 1] = means
+        del chunk, rows  # free this chunk's rows before the next are made
     feats = mlp_project(pooled[:, :h], head)
     feats += pooled[:, h:]
     return TokenMatrix(feats=feats, centers=part.centers)

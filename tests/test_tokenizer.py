@@ -58,7 +58,7 @@ class TestFourierEmbed:
             fourier_embed(np.zeros((2, 3)), FourierEmbedConfig(d=4))
 
     def test_per_band_lipschitz(self, rng):
-        # |d/du sin(2 pi base^j u)| <= 2 pi base^j, checked by finite differences
+        # |d/du sin(2 pi 2^j u)| <= 2 pi 2^j, checked by finite differences
         pos = rng.uniform(0.1, 0.9, size=(20, 3))
         pos = np.vstack([pos, [[0.0, 0, 0], [1.0, 1, 1]]])  # pin the box
         h = 1e-6
@@ -68,9 +68,54 @@ class TestFourierEmbed:
         bumped = fourier_embed(bumped_pos, CFG)
         rates = np.abs(bumped[:20] - base[:20]) / h
         for j in range(CFG.num_freqs):
-            bound = 2 * np.pi * CFG.base**j
+            bound = 2 * np.pi * 2.0**j
             # x-axis sin band j sits at column j (axis-major, then frequency)
             assert rates[:, j].max() <= bound + 1e-4 * bound
+
+
+def naive_fourier_embed(positions, d, box=None):
+    """Per-band loop over np.sin/np.cos of (2 pi u) 2^k, the direct formula."""
+    lo, span = bounding_box(positions) if box is None else box
+    flat = span == 0.0
+    u = np.where(flat, 0.0, (positions - lo) / np.where(flat, 1.0, span))
+    f = d // 6
+    out = np.zeros((positions.shape[0], d))
+    for k in range(f):
+        phase = (2.0 * np.pi * u) * 2.0**k
+        out[:, k : 3 * f : f] = np.sin(phase)  # column a*F + k for axis a
+        out[:, 3 * f + k : 6 * f : f] = np.cos(phase)
+    return out
+
+
+def oracle_case(case, rng):
+    """(positions, box) of one oracle case; box None means the input's own."""
+    pos = rng.uniform(-2.0, 3.0, size=(2000, 3))
+    pos[:2] = pos.min(axis=0), pos.max(axis=0)  # points at the box corners
+    if case == "flat_axis":
+        pos[:, 1] = 0.7
+    elif case == "offset_1e6":
+        pos += 1e6
+    elif case == "chunk_of_cloud":  # a thin x slab, with the cloud's box
+        box = bounding_box(pos)
+        return pos[(pos[:, 0] > 0.0) & (pos[:, 0] < 0.5)], box
+    return pos, None
+
+
+class TestFourierEmbedOracle:
+    """Phase reduction and angle doubling against the per-band formula."""
+
+    # F = 1, 2 (below ANCHOR_EVERY = 4), 4, 4 with zero padding, and 42 (not a
+    # multiple of 4, with zero padding)
+    @pytest.mark.parametrize("d", [6, 12, 24, 26, 256])
+    @pytest.mark.parametrize(
+        "case", ["uniform", "flat_axis", "offset_1e6", "chunk_of_cloud"]
+    )
+    def test_matches_per_band_loop(self, rng, case, d):
+        pos, box = oracle_case(case, rng)
+        got = fourier_embed(pos, FourierEmbedConfig(d=d), box)
+        want = naive_fourier_embed(pos, d, box)
+        assert np.abs(got - want).max() <= 1e-13
+        assert np.array_equal(got[:, 6 * (d // 6) :], want[:, 6 * (d // 6) :])
 
 
 class TestMlpProject:
