@@ -92,14 +92,18 @@ class TestWindowedMixOracle:
             (1, 8, 4),
         ],
     )
+    @pytest.mark.parametrize("fortran_order", [False, True])
     @pytest.mark.parametrize("gate_kind", ["lowpass", "random"])
-    def test_matches_naive(self, rng, k, window, stride, gate_kind):
+    def test_matches_naive(self, rng, k, window, stride, fortran_order, gate_kind):
         bins = window // 2 + 1
         if gate_kind == "lowpass":
             gate = lowpass_gate(window, max(1, bins // 3))
         else:
             gate = rng.uniform(0.0, 2.0, size=bins)
         x = rng.normal(size=(k, 5)) + 3.0
+        if fortran_order:
+            # the same cases on a column-major input: any layout is accepted
+            x = np.asfortranarray(x)
         cfg = EnhancerConfig(window=window, stride=stride, gate=gate)
         got = windowed_mix(x, cfg)
         want = naive_windowed_mix(x, window, stride, gate)
