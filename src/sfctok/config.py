@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
@@ -17,11 +18,11 @@ class PipelineConfig:
     tokens: int = 256  # output token budget T
     width: int = 256  # feature width d
     window: int = 64  # FFT window length L
-    stride: int = 16  # FFT window stride R
+    stride: int = 16  # FFT window stride R, at most L
     # retained low-frequency bins; k_low >= window//2+1 keeps every bin, so
     # the default gate is all ones and the enhancer's mix is the identity
     k_low: int = 128
-    bits: int = 10  # SFC quantization depth
+    bits: int = 10  # SFC quantization depth, 1..16
     graph_stride: int = 16  # point-level voting stride r
     graph_window: int = 32  # point-level voting radius W
     graph_k: int = 8  # neighbors kept per superpoint
@@ -41,8 +42,16 @@ class PipelineConfig:
             if f.name == "seed":
                 if v < 0:
                     raise ConfigError(f"config field seed={v} must be nonnegative")
-            elif not v > 0:  # also rejects NaN
-                raise ConfigError(f"config field {f.name}={v} must be positive")
+            elif not 0 < v < math.inf:  # also rejects NaN
+                raise ConfigError(
+                    f"config field {f.name}={v} must be positive and finite"
+                )
+        if self.bits > 16:
+            raise ConfigError(f"config field bits={self.bits} outside 1..16")
+        if self.stride > self.window:
+            raise ConfigError(
+                f"config field stride={self.stride} exceeds window={self.window}"
+            )
 
     def with_env_seed(self):
         """Return a copy with the seed overridden by SFCTOK_SEED, if set."""

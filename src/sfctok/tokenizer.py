@@ -31,7 +31,7 @@ from .core import (
     label_counts,
     segment_mean,
 )
-from .errors import ShapeMismatch, WidthTooSmall
+from .errors import ConfigError, ShapeMismatch, WidthTooSmall
 
 # Points per chunk of the tokenize stream. Chunks hold whole superpoints, so
 # a superpoint with more points than this gets a chunk of its own. At 1024
@@ -272,10 +272,24 @@ def voxel_superpoints(cloud: PointCloud, cell: float) -> SuperpointPartition:
     """Fallback segmentation: points sharing a voxel cell share a label.
 
     Labels are compacted to {0..M-1} in lexicographic voxel order, which is
-    deterministic for a fixed input.
+    deterministic for a fixed input. Each axis's voxel index is replaced by
+    its dense rank among the distinct indices on that axis; the x and y ranks
+    are packed into one key and re-ranked, and that rank is packed with the
+    z rank. Ranks are below N, so each packed key is below N^2 and fits in
+    int64 whatever the coordinate span, and the voxel indices themselves stay
+    float64 integers, never cast.
     """
-    if cell <= 0:
-        raise ValueError(f"cell size {cell} must be positive")
-    keys = np.floor(cloud.positions / cell).astype(np.int64)
-    _, labels = np.unique(keys, axis=0, return_inverse=True)
-    return build_partition(labels.astype(np.int64), cloud.positions)
+    if not (np.isfinite(cell) and cell > 0):
+        raise ConfigError(f"voxel cell {cell} must be positive and finite")
+    voxels = np.floor(cloud.positions / cell)
+    _, rank = _dense_rank(voxels[:, 0])
+    for axis in (1, 2):
+        n_axis, axis_rank = _dense_rank(voxels[:, axis])
+        _, rank = _dense_rank(rank * n_axis + axis_rank)
+    return build_partition(rank, cloud.positions)
+
+
+def _dense_rank(values):
+    """(number of distinct values, each value's rank among them)."""
+    distinct, rank = np.unique(values, return_inverse=True)
+    return distinct.size, rank

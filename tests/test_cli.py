@@ -228,7 +228,13 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--tokens", "abc"], ["--tokens", "-1"], ["--tau", "nan"], ["--seed", "-3"]],
+        [
+            ["--tokens", "abc"],
+            ["--tokens", "-1"],
+            ["--tau", "nan"],
+            ["--seed", "-3"],
+            ["--bits", "17"],
+        ],
     )
     def test_bad_flag_value_reports_error(self, scene_ply, tmp_path, capsys, flags):
         rc = main(["tokenize", str(scene_ply), "--out", str(tmp_path / "o.tok"), *flags])

@@ -10,6 +10,7 @@ import pytest
 from sfctok.config import PipelineConfig, config_from_sources, parse_config_file
 from sfctok.core import PointCloud, TokenMatrix, seeded_init
 from sfctok.errors import (
+    ConfigError,
     InvalidWeights,
     LengthMismatch,
     NoValidSuperpoints,
@@ -329,6 +330,27 @@ class TestConfig:
     def test_positive_validation(self):
         with pytest.raises(ValueError):
             PipelineConfig(window=0)
+
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"bits": 17}, "bits=17"),
+            ({"bits": 0}, "bits=0"),
+            ({"stride": 100}, "stride=100"),
+            ({"window": 8, "stride": 9}, "stride=9"),
+            ({"tau": float("inf")}, "tau=inf"),
+            ({"voxel_cell": float("nan")}, "voxel_cell=nan"),
+            ({"sinkhorn_tol": float("inf")}, "sinkhorn_tol=inf"),
+        ],
+    )
+    def test_rejected_at_construction(self, fields, named):
+        with pytest.raises(ConfigError, match=named):
+            PipelineConfig(**fields)
+
+    def test_edge_values_allowed(self):
+        cfg = PipelineConfig(bits=16, window=8, stride=8)
+        assert (cfg.bits, cfg.stride) == (16, 8)
+        assert PipelineConfig(bits=1).bits == 1
 
     def test_seed_zero_allowed(self):
         assert PipelineConfig(seed=0).seed == 0

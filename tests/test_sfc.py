@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfctok import sfc
 from sfctok.sfc import (
     ALL_CURVES,
     CurveKind,
@@ -11,8 +12,119 @@ from sfctok.sfc import (
     morton_encode,
     quantize,
     serialize,
+    serialize_all,
     transpose_coords,
 )
+
+
+def naive_morton(grid, b):
+    """Per-bit interleave: x_j -> bit 3j, y_j -> 3j+1, z_j -> 3j+2."""
+    grid = np.asarray(grid, dtype=np.int64)
+    x, y, z = grid[..., 0], grid[..., 1], grid[..., 2]
+    key = np.zeros(x.shape, dtype=np.int64)
+    for j in range(b):
+        key |= ((x >> j) & 1) << (3 * j)
+        key |= ((y >> j) & 1) << (3 * j + 1)
+        key |= ((z >> j) & 1) << (3 * j + 2)
+    return key
+
+
+def naive_hilbert(grid, b):
+    """Skilling's transform ("Programming the Hilbert curve", 2004).
+
+    Undo excess rotations/reflections from the most significant bit down,
+    Gray-encode across axes, then interleave the transformed axis bits.
+    """
+    grid = np.asarray(grid, dtype=np.int64)
+    x = [grid[..., 0].copy(), grid[..., 1].copy(), grid[..., 2].copy()]
+    m = 1 << (b - 1)
+
+    q = m
+    while q > 1:
+        p = q - 1
+        for i in range(3):
+            hi_set = (x[i] & q) != 0
+            # invert low bits of axis 0 where this axis has the q bit set,
+            # otherwise exchange low bits between axis 0 and axis i
+            x[0] = np.where(hi_set, x[0] ^ p, x[0])
+            t = np.where(hi_set, 0, (x[0] ^ x[i]) & p)
+            x[0] ^= t
+            x[i] ^= t
+        q >>= 1
+
+    x[1] ^= x[0]
+    x[2] ^= x[1]
+    t = np.zeros_like(x[0])
+    q = m
+    while q > 1:
+        t = np.where((x[2] & q) != 0, t ^ (q - 1), t)
+        q >>= 1
+    for i in range(3):
+        x[i] ^= t
+
+    key = np.zeros_like(x[0])
+    for j in range(b):
+        key |= ((x[0] >> j) & 1) << (3 * j + 2)
+        key |= ((x[1] >> j) & 1) << (3 * j + 1)
+        key |= ((x[2] >> j) & 1) << (3 * j)
+    return key
+
+
+def naive_encode(grid, kind, b):
+    g = transpose_coords(np.asarray(grid, dtype=np.int64), kind)
+    if kind in (CurveKind.ZORDER, CurveKind.ZORDER_T):
+        return naive_morton(g, b)
+    return naive_hilbert(g, b)
+
+
+def morton_decode(keys, b):
+    """Grid cells of Morton keys (inverse of naive_morton)."""
+    grid = np.zeros(keys.shape + (3,), dtype=np.int64)
+    for j in range(b):
+        for axis in range(3):
+            grid[..., axis] |= ((keys >> (3 * j + axis)) & 1) << j
+    return grid
+
+
+def hilbert_tables_from_oracle(depth=2):
+    """The oracle's Hilbert curve as a digit-by-digit state machine.
+
+    A state is what the curve does below a prefix of Morton digits, told
+    apart by the Hilbert digits the oracle gives every ``depth``-digit
+    suffix. States are numbered as a breadth-first walk from the empty
+    prefix, trying digits 0..7, first meets them.
+    """
+    suffixes = np.arange(8**depth)
+
+    def expand(prefix):
+        b = len(prefix) + depth
+        head = 0
+        for d in prefix:
+            head = head * 8 + d
+        keys = naive_hilbert(morton_decode(head * 8**depth + suffixes, b), b)
+        return int(keys[0] >> (3 * depth)) & 7, tuple(keys % 8**depth)
+
+    number = {expand(())[1]: 0}
+    prefixes = [()]
+    digit, nxt = [], []
+    for prefix in prefixes:
+        for d in range(8):
+            out, behaviour = expand(prefix + (d,))
+            if behaviour not in number:
+                number[behaviour] = len(number)
+                prefixes.append(prefix + (d,))
+            digit.append(out)
+            nxt.append(number[behaviour])
+    return np.array(digit), np.array(nxt)
+
+
+def random_grid(r, b, n=2000):
+    """Random b-bit cells led by the 8 corners of the grid."""
+    top = (1 << b) - 1
+    corners = np.array(
+        [[i >> 2 & 1, i >> 1 & 1, i & 1] for i in range(8)], dtype=np.int64
+    ) * top
+    return np.concatenate([corners, r.integers(0, top + 1, size=(n, 3))])
 
 
 def full_grid(b):
@@ -89,6 +201,20 @@ def test_all_curves_bijective(kind, b):
     assert np.array_equal(np.sort(keys), np.arange((1 << b) ** 3))
 
 
+class TestEncoderOracles:
+    @pytest.mark.parametrize("kind", ALL_CURVES)
+    @pytest.mark.parametrize("b", range(1, 17))
+    def test_keys_equal_naive(self, kind, b):
+        grid = random_grid(np.random.Generator(np.random.PCG64(b)), b)
+        assert np.array_equal(encode(grid, kind, b), naive_encode(grid, kind, b))
+
+    def test_tables_rebuilt_from_naive(self):
+        digit, nxt = hilbert_tables_from_oracle()
+        assert digit.shape == nxt.shape == (24 * 8,)
+        assert np.array_equal(digit, sfc._HILBERT_DIGIT)
+        assert np.array_equal(nxt, sfc._HILBERT_NEXT)
+
+
 class TestTranspose:
     def test_zorder_t_swaps_xy(self):
         g = np.array([[1, 2, 3]])
@@ -141,6 +267,18 @@ class TestSerialize:
         ties = np.flatnonzero(np.diff(sorted_keys) == 0)
         for i in ties:
             assert order.perm[i] < order.perm[i + 1]
+
+    @pytest.mark.parametrize("b", [1, 10, 16])
+    def test_serialize_all_matches_naive_per_kind(self, rng, b):
+        centers = rng.normal(size=(300, 3))
+        centers[:, 2] = 0.5  # a flat axis quantizes to 0
+        grid = quantize(centers, b)
+        for kind, order in zip(ALL_CURVES, serialize_all(centers, b)):
+            single = serialize(centers, kind, b)
+            assert order.kind == kind
+            assert np.array_equal(order.keys, naive_encode(grid, kind, b))
+            assert np.array_equal(order.perm, single.perm)
+            assert np.array_equal(order.inv_perm, single.inv_perm)
 
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)

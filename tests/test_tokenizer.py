@@ -13,7 +13,7 @@ from sfctok.core import (
     seeded_init,
     segment_mean,
 )
-from sfctok.errors import EmptySuperpoint, ShapeMismatch, WidthTooSmall
+from sfctok.errors import ConfigError, EmptySuperpoint, ShapeMismatch, WidthTooSmall
 from sfctok.synth import make_scene
 from sfctok.tokenizer import (
     CHUNK_POINTS,
@@ -509,6 +509,37 @@ class TestVoxelSuperpoints:
             positions=np.array([[0.0, 0, 0], [1.0, 0, 0]]), features=np.ones((2, 1))
         )
         assert voxel_superpoints(cloud, 0.5).n_superpoints == 2
+
+    @pytest.mark.parametrize(
+        "case", ["blobs", "negative", "flat_axis", "single_point", "wide_span"]
+    )
+    def test_labels_match_row_unique(self, case):
+        r = np.random.Generator(np.random.PCG64(17))
+        cell = 0.2
+        if case == "blobs":
+            positions = make_scene(20000, seed=8).positions
+        elif case == "negative":
+            positions = r.normal(-3.0, 2.0, size=(3000, 3))
+        elif case == "flat_axis":
+            positions = r.uniform(-1.0, 1.0, size=(3000, 3))
+            positions[:, 1] = -0.3
+        elif case == "single_point":
+            positions = np.array([[-1.5, 2.5, 0.1]])
+        else:
+            # per-axis key extents of ~2e12 multiply far past 2^63
+            cell = 1e-9
+            positions = r.uniform(-1e3, 1e3, size=(3000, 3))
+            positions[::7] = positions[3::7]  # points sharing a voxel
+        cloud = PointCloud(positions=positions, features=np.ones((len(positions), 1)))
+        keys = np.floor(positions / cell).astype(np.int64)
+        _, expected = np.unique(keys, axis=0, return_inverse=True)
+        assert np.array_equal(voxel_superpoints(cloud, cell).labels, expected.reshape(-1))
+
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf, 0.0, -0.5])
+    def test_bad_cell_rejected(self, cell):
+        cloud = make_scene(200, seed=1)
+        with pytest.raises(ConfigError, match=f"voxel cell {cell}"):
+            voxel_superpoints(cloud, cell)
 
     def test_matches_hash_set_oracle(self):
         cloud = make_scene(2000, seed=3)
