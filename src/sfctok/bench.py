@@ -24,9 +24,12 @@ BENCH_CSV_COLUMNS = (
     "edge_count",
     "recall",
 )
+BENCH_VOXEL_CELL = 0.4  # meters
+ORACLE_CHUNK = 4096  # oracle point columns per distance block
+BUILD_REPEATS = 3  # graph builds per scene; the fastest is reported
 
 
-def boundary_knn_oracle(positions, labels, n_superpoints, k, chunk=4096):
+def boundary_knn_oracle(positions, labels, n_superpoints, k):
     """Brute-force top-k superpoint neighbors by minimum inter-superpoint
     point-pair distance.
 
@@ -45,8 +48,8 @@ def boundary_knn_oracle(positions, labels, n_superpoints, k, chunk=4096):
     min_d2 = np.full((m, m), np.inf)
     n = pos.shape[0]
     sq = np.einsum("ij,ij->i", pos, pos)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, ORACLE_CHUNK):
+        hi = min(lo + ORACLE_CHUNK, n)
         # the copy keeps numpy off its symmetric A @ A.T path when one chunk
         # covers every point, so all sizes run the same general product
         twice = pos @ pos[lo:hi].T.copy()
@@ -118,21 +121,21 @@ class BenchRow:
         )
 
 
-def bench_scene(n_points, seed, cfg: PipelineConfig, voxel_cell=0.4):
+def bench_scene(n_points, seed):
     """Seeded scene plus voxel superpoints sized for graph benchmarking."""
     cloud = make_scene(n_points, seed=seed)
-    part = voxel_superpoints(cloud, voxel_cell)
+    part = voxel_superpoints(cloud, BENCH_VOXEL_CELL)
     return cloud, part
 
 
-def run_bench(sizes, trials, cfg: PipelineConfig, oracle_cap=20000, repeats=3):
+def run_bench(sizes, trials, cfg: PipelineConfig, oracle_cap=20000):
     """Time graph builds (and the oracle below ``oracle_cap``) per size."""
     rows = []
     for n in sizes:
         for trial in range(trials):
-            cloud, part = bench_scene(n, seed=cfg.seed + trial, cfg=cfg)
+            cloud, part = bench_scene(n, seed=cfg.seed + trial)
             best = np.inf
-            for _ in range(repeats):
+            for _ in range(BUILD_REPEATS):
                 t0 = time.perf_counter()
                 vote_graph, n_votes = build_vote_graph(
                     cloud.positions, part.labels, part.centers, cfg

@@ -46,6 +46,8 @@ class PipelineConfig:
                 raise ConfigError(
                     f"config field {f.name}={v} must be positive and finite"
                 )
+        if self.width < 6:  # the Fourier embedding needs 6 columns per band
+            raise ConfigError(f"config field width={self.width} must be at least 6")
         if self.bits > 16:
             raise ConfigError(f"config field bits={self.bits} outside 1..16")
         if self.stride > self.window:

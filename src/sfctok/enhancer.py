@@ -5,19 +5,17 @@ windows are rFFT'd along the token axis, gated in the spectrum, inverse
 transformed, and reassembled by squared-Hann overlap-add. The per-curve
 results are fused by uniform averaging and added back as a residual.
 
-The mix is linear along the token axis and the same for every channel, so a
-full window applies one fixed L x L matrix (the gated rFFT round trip of the
-identity). Away from the sequence ends every block of R = stride output rows
-is then the same R x ((ceil(L/R) - 1) R + L) band operator applied to the
-input span that covers it, and all such blocks are evaluated by one batched
-matrix product over a strided view of the sequence. Only the rows near the
-two ends, where windows are missing or clipped, are mixed window by window
-through the FFT.
+The mix is linear along the token axis and the same for every channel, so
+it is an n x n matrix acting on the sequence. ``_mix_operator`` is its one
+definition: it runs the window loop on identity windows and returns the
+requested rows. The sequence itself enters only matrix products, and every
+interior stride block of rows shares one banded operator, applied by one
+batched product over a strided view of the sequence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +25,7 @@ from .errors import CurveLengthMismatch
 ZERO_WEIGHT_EPS = 1e-12
 
 
-def lowpass_gate(window: int, k_low: int = 128):
+def lowpass_gate(window: int, k_low: int):
     """Binary gate keeping the first k_low rFFT bins of a length-L window."""
     n_bins = window // 2 + 1
     gate = np.zeros(n_bins)
@@ -37,18 +35,15 @@ def lowpass_gate(window: int, k_low: int = 128):
 
 @dataclass(frozen=True)
 class EnhancerConfig:
-    window: int = 64
-    stride: int = 16
-    gate: np.ndarray = None  # (window//2 + 1,) nonnegative
+    window: int
+    stride: int
+    gate: np.ndarray  # (window//2 + 1,) nonnegative
     curves: tuple = ()  # CurveOrders built from the token centers
 
     def __post_init__(self):
         if not 1 <= self.stride <= self.window:
             raise ValueError(f"stride {self.stride} outside 1..{self.window}")
-        gate = self.gate
-        if gate is None:
-            gate = lowpass_gate(self.window)
-        gate = np.asarray(gate, dtype=np.float64)
+        gate = np.asarray(self.gate, dtype=np.float64)
         if gate.shape != (self.window // 2 + 1,):
             raise ValueError(
                 f"gate length {gate.shape} != rFFT bins of window {self.window}"
@@ -84,97 +79,76 @@ def _mix_window(window, gate):
     return rfft_inverse(spectrum, n=n, axis=0)
 
 
-def _edge_rows(seq, cfg: EnhancerConfig, lo, hi):
-    """Output rows lo..hi-1 by mixing each covering window on its own."""
-    k, d = seq.shape
+def _mix_operator(n, cfg: EnhancerConfig, lo, hi):
+    """Rows lo..hi-1 of the n x n matrix that windowed-mixes a length-n sequence.
+
+    Windows start at 0, stride, 2*stride, ... and are clipped at n (the gate
+    truncates to the shorter bin count). Each covering window contributes
+    the gated rFFT round trip of the identity, placed at its columns and
+    weighted by squared Hann; a row is divided by its total weight, or takes
+    the plain average of its windows where that weight vanishes (window
+    endpoints with no overlap).
+    """
     L, R = cfg.window, cfg.stride
     w = squared_hann(L)
-    acc = np.zeros((hi - lo, d))
+    acc = np.zeros((hi - lo, n))
     acc_w = np.zeros(hi - lo)
-    acc_plain = np.zeros((hi - lo, d))
+    acc_plain = np.zeros((hi - lo, n))
     count = np.zeros(hi - lo)
     first = max(0, -(-(lo - L + 1) // R))
     for s0 in range(first * R, hi, R):
-        end = min(s0 + L, k)
-        mixed = _mix_window(seq[s0:end], cfg.gate)
+        end = min(s0 + L, n)
+        mixed = _mix_window(np.eye(end - s0), cfg.gate)
         a, b = max(s0, lo), min(end, hi)
         part = mixed[a - s0 : b - s0]
-        acc[a - lo : b - lo] += part * w[a - s0 : b - s0, None]
+        acc[a - lo : b - lo, s0:end] += part * w[a - s0 : b - s0, None]
         acc_w[a - lo : b - lo] += w[a - s0 : b - s0]
-        acc_plain[a - lo : b - lo] += part
+        acc_plain[a - lo : b - lo, s0:end] += part
         count[a - lo : b - lo] += 1.0
-    out = np.empty_like(acc)
-    weighted_pos = acc_w > ZERO_WEIGHT_EPS
-    out[weighted_pos] = acc[weighted_pos] / acc_w[weighted_pos, None]
-    out[~weighted_pos] = acc_plain[~weighted_pos] / count[~weighted_pos, None]
+    out = acc_plain / count[:, None]
+    weighted = acc_w > ZERO_WEIGHT_EPS
+    out[weighted] = acc[weighted] / acc_w[weighted, None]
     return out
 
 
-def _band_operator(cfg: EnhancerConfig):
-    """Interior overlap-add as one (R, (m-1)R + L) matrix, m = ceil(L/R).
-
-    Output row qR + r is covered by the m windows starting at (q-t)R,
-    t = 0..m-1, where it sits at window row tR + r (when that is < L).
-    Each full window applies the fixed L x L matrix G (the gated spectral
-    mix of the identity), so the row is a combination of G's rows placed at
-    column offset (m-1-t)R of the input span starting at (q-m+1)R, weighted
-    by squared Hann and divided by the total weight, or averaged plainly
-    where that weight vanishes.
-    """
-    L, R = cfg.window, cfg.stride
-    m = -(-L // R)
-    # window rows tR + r >= L do not exist: pad them with zero weight
-    g = np.zeros((m * R, L))
-    g[:L] = _mix_window(np.eye(L), cfg.gate)  # mixed = g @ window
-    hann = np.zeros(m * R)
-    hann[:L] = squared_hann(L)
-    covered = np.arange(m * R) < L
-    hann, covered = hann.reshape(m, R), covered.reshape(m, R)
-    weight = np.where(hann.sum(axis=0) > ZERO_WEIGHT_EPS, hann, covered)
-    coef = weight / weight.sum(axis=0)
-    band = np.zeros((R, (m - 1) * R + L))
-    for t in range(m):
-        off = (m - 1 - t) * R
-        band[:, off : off + L] += coef[t, :, None] * g[t * R : (t + 1) * R]
-    return band
-
-
 def windowed_mix(seq, cfg: EnhancerConfig):
-    """Transform a K x d sequence window-by-window and overlap-add.
+    """Mix a K x d sequence window by window and overlap-add.
 
-    Windows start at 0, stride, 2*stride, ...; windows running past the
-    sequence end are clipped (the gate truncates to the shorter bin count).
-    The accumulated output is divided by the accumulated squared-Hann
-    weight; positions whose squared-Hann mass vanishes (window endpoints
-    with no overlap) take the plain average of their covering windows'
-    mixed values, so an all-ones gate is exactly the identity and an
+    The result is ``_mix_operator(K, cfg, 0, K) @ seq``: the squared-Hann
+    overlap-add of the gated windows, with the plain average where that
+    weight vanishes, so an all-ones gate is exactly the identity and an
     all-zeros gate annihilates.
 
-    Rows whose covering windows are all full and all present form whole
-    stride blocks; they come from one batched product of ``_band_operator``
-    with a strided view of the overlapping input spans. The head rows and
-    the rows from the first clipped window on are mixed window by window.
+    With m = ceil(L/R), every row from (m-1)R up to the first clipped
+    window's start is covered by m full windows at the same offsets, so each
+    stride block of those rows applies the same R x ((m-1)R + L) operator
+    to the input span that covers it. Those blocks come from one batched
+    product with a strided view of the spans; the head and tail rows come
+    from small operators over the input rows that reach them.
     """
     seq = np.ascontiguousarray(seq, dtype=np.float64)
     k, d = seq.shape
     L, R = cfg.window, cfg.stride
     m = -(-L // R)
-    n_full = (k - L) // R + 1 if k >= L else 0
-    head, tail = (m - 1) * R, n_full * R
-    if tail <= head:
-        return _edge_rows(seq, cfg, 0, k)
+    head = (m - 1) * R
+    span = head + L
+    if k < span:
+        return _mix_operator(k, cfg, 0, k) @ seq
 
-    out = np.empty_like(seq)
+    n_full = (k - L) // R + 1
     n_blocks = n_full - m + 1
-    span = (m - 1) * R + L
+    tail = n_full * R
+    t0 = -(-(tail - L + 1) // R) * R  # start of the first window covering row tail
+    ops = _mix_operator(span, cfg, 0, head + R)
+    out = np.empty_like(seq)
+    out[:head] = ops[:head] @ seq[:span]
     spans = np.lib.stride_tricks.sliding_window_view(seq, span, axis=0)[::R]
     np.matmul(
-        _band_operator(cfg),
+        ops[head:],
         spans[:n_blocks].transpose(0, 2, 1),
         out=out[head:tail].reshape(n_blocks, R, d),
     )
-    out[:head] = _edge_rows(seq, cfg, 0, head)
-    out[tail:] = _edge_rows(seq, cfg, tail, k)
+    out[tail:] = _mix_operator(k - t0, cfg, tail - t0, k - t0) @ seq[t0:]
     return out
 
 

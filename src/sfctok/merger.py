@@ -31,10 +31,6 @@ class SpectralEmbedding:
     singular_values: np.ndarray  # (r,) nonincreasing
     u: np.ndarray  # (M, r), orthonormal columns
 
-    @property
-    def rank(self):
-        return self.singular_values.shape[0]
-
 
 @dataclass(frozen=True)
 class TransportPlan:

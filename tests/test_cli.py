@@ -234,6 +234,7 @@ class TestCli:
             ["--tau", "nan"],
             ["--seed", "-3"],
             ["--bits", "17"],
+            ["--width", "5"],
         ],
     )
     def test_bad_flag_value_reports_error(self, scene_ply, tmp_path, capsys, flags):

@@ -90,6 +90,9 @@ class TestWindowedMixOracle:
             (100, 12, 1),
             (40, 64, 16),  # K < window: one clipped window family only
             (1, 8, 4),
+            (111, 64, 16),  # K = span - 1: one operator for the whole sequence
+            (112, 64, 16),  # K = span: head, one interior block, tail
+            (1000, 64, 24),  # tail of several clipped windows, R does not divide L
         ],
     )
     @pytest.mark.parametrize("fortran_order", [False, True])

@@ -341,6 +341,8 @@ class TestConfig:
             ({"tau": float("inf")}, "tau=inf"),
             ({"voxel_cell": float("nan")}, "voxel_cell=nan"),
             ({"sinkhorn_tol": float("inf")}, "sinkhorn_tol=inf"),
+            ({"width": 5}, "width=5"),
+            ({"width": 1}, "width=1"),
         ],
     )
     def test_rejected_at_construction(self, fields, named):
@@ -351,6 +353,7 @@ class TestConfig:
         cfg = PipelineConfig(bits=16, window=8, stride=8)
         assert (cfg.bits, cfg.stride) == (16, 8)
         assert PipelineConfig(bits=1).bits == 1
+        assert PipelineConfig(width=6).width == 6
 
     def test_seed_zero_allowed(self):
         assert PipelineConfig(seed=0).seed == 0
