@@ -159,6 +159,47 @@ def seeded_init(seed: int, shapes) -> SeededWeights:
     return SeededWeights(seed=seed, shapes=shapes, values=values)
 
 
+def stable_order(keys):
+    """The stable order of rows sorted by ``keys``, as ``np.lexsort`` gives it.
+
+    ``keys`` lists (array, bits) pairs, least significant first as
+    ``np.lexsort`` takes them: nonnegative int64 arrays of one length n,
+    each below 2^bits. Their bits are joined into one number per row (the
+    first key lowest) and cut into digits of 63 - s bits, s the bit width
+    of n - 1. One pass per digit, least significant first, sorts the int64
+    words ``(digit << s) | position``, the position being the row's place
+    in the order so far; the words are distinct, so the plain (SIMD)
+    ``np.sort`` orders them, ties on the digit keep the order of the
+    previous passes, and the low s bits of the sorted words give the next
+    order.
+    """
+    n = keys[0][0].shape[0]
+    s = max(n - 1, 0).bit_length()
+    width = 63 - s
+    position = np.arange(n, dtype=np.int64)
+    order = position
+    for lo in range(0, sum(bits for _, bits in keys), width):
+        word = _bit_field(keys, lo, width)[order]
+        word <<= s
+        word |= position
+        word.sort()
+        word &= (1 << s) - 1
+        order = order[word]
+    return order
+
+
+def _bit_field(keys, lo, width):
+    """Bits lo .. lo + width - 1 of each row's joined key (see stable_order)."""
+    field = np.zeros(keys[0][0].shape[0], dtype=np.int64)
+    off = 0
+    for key, bits in keys:
+        a, b = max(lo, off), min(lo + width, off + bits)
+        if a < b:
+            field |= ((key >> (a - off)) & ((1 << (b - a)) - 1)) << (a - lo)
+        off += bits
+    return field
+
+
 def label_counts(labels, m):
     """Row count per label 0..m-1, SENTINEL rows skipped.
 

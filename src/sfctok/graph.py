@@ -1,10 +1,11 @@
 """Sparse superpoint graph from window voting along point-level SFC orders.
 
 Votes are cast between the superpoints of points that fall in the same
-short window of each SFC-sorted point sequence; duplicates are coalesced,
-candidates re-ranked per source by (center distance^2 asc, votes desc),
-truncated to k, symmetrized by a sparse elementwise-maximum union, and
-normalized symmetrically.
+short window of each SFC-sorted point sequence, one unit vote per record.
+Duplicates are counted off one sort of packed (src, dst) keys; candidates
+are re-ranked per source by (center distance^2 asc, votes desc, dst asc)
+with a stable sort of narrow integer keys, truncated to k, symmetrized
+by a sparse elementwise-maximum union, and normalized symmetrically.
 """
 
 from __future__ import annotations
@@ -14,18 +15,26 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core import SENTINEL
-from .errors import InvalidVoteIds
+from .core import SENTINEL, _first_non_finite_row, stable_order
+from .errors import DimensionMismatch, InvalidVoteIds, NonFiniteCoordinate
 
 
 @dataclass(frozen=True)
 class VoteBatch:
-    """Directed (src, dst, votes) edge records between superpoints."""
+    """Directed (src, dst) edge records between superpoints.
+
+    A raw batch, as ``window_vote`` casts it, holds one unit vote per record
+    and no ``votes``. ``coalesce`` turns it into a coalesced batch: each
+    pair once, sorted by (src asc, dst asc), ``votes`` counting its records.
+    """
 
     src: np.ndarray  # (E,) int64
     dst: np.ndarray  # (E,) int64
-    votes: np.ndarray  # (E,) int64, >= 1
-    coalesced: bool = False
+    votes: np.ndarray | None = None  # (E,) int64 >= 1, coalesced batches only
+
+    @property
+    def coalesced(self):
+        return self.votes is not None
 
     @property
     def n_edges(self):
@@ -84,7 +93,7 @@ def window_vote(labels, curve_orders, stride, radius) -> VoteBatch:
             dst_parts.append(t[keep])
     src = np.concatenate(src_parts) if src_parts else np.empty(0, dtype=np.int64)
     dst = np.concatenate(dst_parts) if dst_parts else np.empty(0, dtype=np.int64)
-    return VoteBatch(src=src, dst=dst, votes=np.ones(src.shape[0], dtype=np.int64))
+    return VoteBatch(src=src, dst=dst)
 
 
 def candidate_pair_count(n_points, stride, radius, n_curves=4):
@@ -96,15 +105,18 @@ def candidate_pair_count(n_points, stride, radius, n_curves=4):
 
 
 def coalesce(batch: VoteBatch) -> VoteBatch:
-    """Sum duplicate (src, dst) votes; output sorted by (src asc, dst asc).
+    """Count the records of each (src, dst) pair; output sorted by (src, dst).
 
-    Each pair is packed into one int64 key ``src * n + dst`` with ``n`` the
-    largest id plus one, so a single argsort groups the duplicates. Ids must
-    be nonnegative and ``n * n`` must fit in int64.
+    Each record is one vote. Each pair is packed into one int64 key
+    ``src * n + dst`` with ``n`` the largest id plus one, so one sort of the
+    keys puts the duplicates next to each other. Ids must be nonnegative
+    and ``n * n`` must fit in int64.
     """
+    if batch.coalesced:
+        raise ValueError("batch is already coalesced")
     if batch.n_edges == 0:
         return VoteBatch(
-            src=batch.src, dst=batch.dst, votes=batch.votes, coalesced=True
+            src=batch.src, dst=batch.dst, votes=np.empty(0, dtype=np.int64)
         )
     src = batch.src.astype(np.int64, copy=False)
     dst = batch.dst.astype(np.int64, copy=False)
@@ -115,23 +127,39 @@ def coalesce(batch: VoteBatch) -> VoteBatch:
         raise InvalidVoteIds(
             f"superpoint id {n - 1} too large to pack (src, dst) in int64"
         )
-    key = src * n + dst
-    order = np.argsort(key)
-    key = key[order]
+    key = src * n
+    key += dst
+    key.sort()
     new_group = np.empty(key.shape[0], dtype=bool)
     new_group[0] = True
     np.not_equal(key[1:], key[:-1], out=new_group[1:])
     starts = np.flatnonzero(new_group)
-    summed = np.add.reduceat(batch.votes[order], starts)
+    votes = np.diff(starts, append=key.shape[0])
     key = key[starts]
-    return VoteBatch(src=key // n, dst=key % n, votes=summed, coalesced=True)
+    return VoteBatch(src=key // n, dst=key % n, votes=votes)
+
+
+def _bits(a):
+    """Bit width of the largest entry of a nonnegative integer array."""
+    return int(a.max()).bit_length() if a.size else 0
 
 
 def _ranked(src, dst, votes, centers):
-    """Edges with their center distance^2, sorted by (src, dist^2, -votes, dst)."""
+    """Edges with their center distance^2, sorted by (src, dist^2, -votes, dst).
+
+    The input must be sorted by (src, dst), as ``coalesce``'s output and a
+    canonical CSR matrix are: the sort is stable on (src, dist^2, -votes)
+    alone, so ties keep the input's dst order. dist^2 is a sum of squares,
+    so >= +0, and the int64 bit patterns of nonnegative floats sort as the
+    values do.
+    """
     diff = centers[src] - centers[dst]
     dist2 = np.einsum("ij,ij->i", diff, diff)
-    order = np.lexsort((dst, -votes, dist2, src))
+    d2_key = dist2.view(np.int64)
+    w = _bits(votes)
+    order = stable_order(
+        [((1 << w) - 1 - votes, w), (d2_key, _bits(d2_key)), (src, _bits(src))]
+    )
     return src[order], dst[order], votes[order], dist2[order]
 
 
@@ -141,18 +169,30 @@ def rerank_topk(batch: VoteBatch, centers, k) -> SparseVoteGraph:
 
     The union is the elementwise maximum of the kept (src, dst) -> votes
     matrix and its transpose: an edge kept in both directions carries the
-    higher of its two vote counts.
+    higher of its two vote counts. ``centers`` must be finite, with a row
+    for every superpoint id in the batch.
     """
     if not batch.coalesced:
         raise ValueError("batch must be coalesced before re-ranking")
     centers = np.asarray(centers, dtype=np.float64)
+    if centers.ndim != 2 or centers.shape[1] != 3:
+        raise DimensionMismatch(f"centers must be (M, 3), got {centers.shape}")
+    row = _first_non_finite_row(centers)
+    if row is not None:
+        raise NonFiniteCoordinate(row)
     m = centers.shape[0]
+    top = int(max(batch.src.max(), batch.dst.max())) if batch.n_edges else -1
+    if top >= m:
+        raise DimensionMismatch(
+            f"vote batch names superpoint {top}, but centers has shape {centers.shape}"
+        )
     src, dst, votes, _ = _ranked(batch.src, batch.dst, batch.votes, centers)
     # rank within each source run, keep rank < k
     offsets = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=m))))
     keep = np.arange(src.shape[0]) - offsets[src] < k
     kept = sp.csr_matrix((votes[keep], (src[keep], dst[keep])), shape=(m, m))
     union = kept.maximum(kept.T)
+    union.sum_duplicates()  # canonical: each row's columns ascending, once
 
     degree = np.diff(union.indptr).astype(np.int64)
     src = np.repeat(np.arange(m), degree)

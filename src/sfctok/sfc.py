@@ -20,6 +20,8 @@ from enum import Enum
 
 import numpy as np
 
+from .core import stable_order
+
 
 class CurveKind(str, Enum):
     ZORDER = "zorder"
@@ -98,7 +100,7 @@ class CurveOrder:
 
     kind: CurveKind
     keys: np.ndarray  # (K,) int64
-    perm: np.ndarray  # (K,) int64, stable argsort of keys
+    perm: np.ndarray  # (K,) int64, stable key order (ties in index order)
     inv_perm: np.ndarray  # (K,) int64
 
     @property
@@ -184,7 +186,7 @@ def encode(grid, kind, b):
 
 def _curve_order(grid, kind, b) -> CurveOrder:
     keys = encode(grid, kind, b)
-    perm = np.argsort(keys, kind="stable")
+    perm = stable_order([(keys, 3 * b)])
     inv_perm = np.empty_like(perm)
     inv_perm[perm] = np.arange(perm.shape[0])
     return CurveOrder(kind=kind, keys=keys, perm=perm, inv_perm=inv_perm)

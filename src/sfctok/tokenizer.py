@@ -30,6 +30,7 @@ from .core import (
     build_partition,
     label_counts,
     segment_mean,
+    stable_order,
 )
 from .errors import ConfigError, ShapeMismatch, WidthTooSmall
 
@@ -248,7 +249,8 @@ def superpoint_pool(
     labels = np.asarray(part.labels, dtype=np.int64)
     counts = label_counts(labels, part.n_superpoints)
     n_sentinel = labels.shape[0] - int(counts.sum())
-    order = np.argsort(labels, kind="stable")  # sentinels first
+    # sentinels (-1) first; labels + 1 <= M
+    order = stable_order([(labels + 1, part.n_superpoints.bit_length())])
     sorted_labels = labels[order]
     box = bounding_box(cloud.positions)
     pooled = np.empty((part.n_superpoints, h + d))

@@ -95,8 +95,10 @@ def test_criterion_2_enhancer_identity():
 
 
 def _dict_coalesce(batch):
+    """Votes per (src, dst) pair; a raw batch's records are one vote each."""
+    votes = batch.votes if batch.coalesced else np.ones_like(batch.src)
     acc = {}
-    for s, t, v in zip(batch.src, batch.dst, batch.votes):
+    for s, t, v in zip(batch.src, batch.dst, votes):
         acc[(int(s), int(t))] = acc.get((int(s), int(t)), 0) + int(v)
     return acc
 

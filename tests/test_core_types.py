@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfctok.core import (
@@ -9,6 +9,7 @@ from sfctok.core import (
     build_partition,
     segment_mean,
     seeded_init,
+    stable_order,
     validate_cloud,
 )
 from sfctok.errors import (
@@ -130,3 +131,51 @@ def test_segment_mean_empty_label_rejected():
     with pytest.raises(EmptySuperpoint) as err:
         segment_mean(labels, 3, np.ones((5, 2)))
     assert err.value.label == 1
+
+
+def _tied_keys(rng, n, widths, distinct):
+    """One key per width, each drawn from ``distinct`` values below 2^width
+    that include 0 and 2^width - 1, so the rows tie heavily."""
+    keys = []
+    for w in widths:
+        pool = rng.integers(0, (1 << w) - 1, size=distinct, endpoint=True)
+        pool[:2] = 0, (1 << w) - 1
+        keys.append((pool[rng.integers(0, distinct, size=n)], w))
+    return keys
+
+
+def _assert_lexsort_order(keys):
+    order = stable_order(keys)
+    assert order.dtype == np.int64
+    assert np.array_equal(order, np.lexsort([k for k, _ in keys]))
+    if len(keys) == 1:
+        assert np.array_equal(order, np.argsort(keys[0][0], kind="stable"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.sampled_from([0, 1, 2, 3, 4, 5, 64, 65, 1024, 1025]) | st.integers(0, 3000),
+    widths=st.lists(st.integers(0, 63), min_size=1, max_size=3),
+    distinct=st.sampled_from([2, 3, 17, 1000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stable_order_matches_lexsort(n, widths, distinct, seed):
+    # up to 189 joined bits: several digits, cut inside keys at every width
+    keys = _tied_keys(np.random.default_rng(seed), n, widths, distinct)
+    _assert_lexsort_order(keys)
+
+
+@pytest.mark.parametrize(
+    "n, widths",
+    [
+        (40_000, [48]),  # 3b at b = 16: 48 bits > 63 - 16, two passes
+        (2**15, [48]),  # one full digit: 63 - bits(2^15 - 1) = 48
+        (2**15 + 1, [48]),  # one row more: 47-bit digits, two passes
+        (1000, [40, 30]),  # digit 0 is key 0 and the low 13 bits of key 1
+        (1024, [52, 52]),  # 53-bit digits cut inside both keys
+        (1025, [52, 52]),  # 52-bit digits, one per key
+    ],
+)
+def test_stable_order_multi_pass(n, widths):
+    rng = np.random.default_rng(n + sum(widths))
+    _assert_lexsort_order(_tied_keys(rng, n, widths, 50))

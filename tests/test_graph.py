@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from sfctok.errors import InvalidVoteIds
+from sfctok.errors import DimensionMismatch, InvalidVoteIds, NonFiniteCoordinate
 from sfctok.graph import (
     SparseVoteGraph,
     VoteBatch,
@@ -16,16 +18,19 @@ from sfctok.synth import make_scene
 from sfctok.tokenizer import voxel_superpoints
 
 
-def batch_from(edges, coalesced=False):
+def batch_from(edges):
+    """Raw batch casting ``v`` unit votes for each (s, t, v) edge."""
     if edges:
         src, dst, votes = (np.array(col, dtype=np.int64) for col in zip(*edges))
     else:
         src = dst = votes = np.empty(0, dtype=np.int64)
-    return VoteBatch(src=src, dst=dst, votes=votes, coalesced=coalesced)
+    return VoteBatch(src=np.repeat(src, votes), dst=np.repeat(dst, votes))
 
 
 def edge_tuples(batch):
-    return list(zip(batch.src.tolist(), batch.dst.tolist(), batch.votes.tolist()))
+    """(src, dst, votes) per record; a raw record is one vote."""
+    votes = batch.votes if batch.coalesced else np.ones_like(batch.src)
+    return list(zip(batch.src.tolist(), batch.dst.tolist(), votes.tolist()))
 
 
 class TestWindowVote:
@@ -113,6 +118,12 @@ class TestCoalesce:
         assert edge_tuples(out) == dict_coalesce(edges)
         assert int(out.votes.sum()) == int(votes.sum())
 
+    def test_coalesced_batch_rejected(self):
+        # a coalesced batch's records are not unit votes any more
+        out = coalesce(batch_from([(0, 1, 3)]))
+        with pytest.raises(ValueError):
+            coalesce(out)
+
     def test_negative_id_rejected(self):
         with pytest.raises(InvalidVoteIds):
             coalesce(batch_from([(0, 1, 1), (2, -1, 1)]))
@@ -171,6 +182,55 @@ class TestRerankTopk:
         for key, (d2, v) in expected.items():
             assert built[key][1] == v
             assert built[key][0] == pytest.approx(d2, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_ties_match_full_sort_oracle(self, seed, k):
+        # integer-grid centers tie dist^2 often and votes take 1..3, so the
+        # order rests on -votes and dst; grid dist^2 are exact integers
+        rng = np.random.Generator(np.random.PCG64(seed))
+        m = 40
+        centers = rng.integers(0, 3, size=(m, 3)).astype(float)
+        src = rng.integers(0, m, size=600)
+        dst = rng.integers(0, m, size=600)
+        keep = src != dst
+        edges = list(zip(src[keep], dst[keep], rng.integers(1, 4, size=keep.sum())))
+        batch = coalesce(batch_from(edges))
+        g = rerank_topk(batch, centers, k=k)
+        cands = {}
+        for s, t, v in edge_tuples(batch):
+            d2 = float(((centers[s] - centers[t]) ** 2).sum())
+            cands.setdefault(s, []).append((d2, -v, t))
+        kept = {}
+        for s, lst in cands.items():
+            for d2, nv, t in sorted(lst)[:k]:
+                kept[(s, t)] = max(kept.get((s, t), 0), -nv)
+        union = {}
+        for (s, t), v in kept.items():
+            union[(s, t)] = max(union.get((s, t), 0), v)
+            union[(t, s)] = max(union.get((t, s), 0), v)
+        expected = {s: [] for s in range(m)}
+        for (s, t), v in union.items():
+            expected[s].append((float(((centers[s] - centers[t]) ** 2).sum()), -v, t))
+        for s in range(m):
+            lo, hi = g.indptr[s], g.indptr[s + 1]
+            keys = (g.dist2[lo:hi], -g.votes[lo:hi], g.dst[lo:hi])
+            assert list(zip(*(a.tolist() for a in keys))) == sorted(expected[s])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_centers_rejected(self, bad):
+        centers = np.zeros((4, 3))
+        centers[2, 1] = bad
+        batch = coalesce(batch_from([(0, 1, 1), (1, 3, 2)]))
+        with pytest.raises(NonFiniteCoordinate) as err:
+            rerank_topk(batch, centers, k=2)
+        assert err.value.index == 2
+
+    @pytest.mark.parametrize("shape", [(3, 3), (0, 3), (4, 2), (12,)])
+    def test_centers_shape_mismatch_rejected(self, shape):
+        batch = coalesce(batch_from([(0, 1, 1), (1, 3, 2)]))
+        with pytest.raises(DimensionMismatch, match=re.escape(str(shape))):
+            rerank_topk(batch, np.zeros(shape), k=2)
 
     def test_deterministic(self, rng):
         m = 20
