@@ -20,13 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TokenMatrix
-from .errors import CurveLengthMismatch
+from .errors import ConfigError, CurveLengthMismatch
 
 ZERO_WEIGHT_EPS = 1e-12
 
 
 def lowpass_gate(window: int, k_low: int):
     """Binary gate keeping the first k_low rFFT bins of a length-L window."""
+    if k_low < 0:
+        raise ConfigError(f"k_low {k_low} must be nonnegative")
     n_bins = window // 2 + 1
     gate = np.zeros(n_bins)
     gate[: min(k_low, n_bins)] = 1.0
@@ -37,19 +39,19 @@ def lowpass_gate(window: int, k_low: int):
 class EnhancerConfig:
     window: int
     stride: int
-    gate: np.ndarray  # (window//2 + 1,) nonnegative
-    curves: tuple = ()  # CurveOrders built from the token centers
+    gate: np.ndarray  # (window//2 + 1,) finite, nonnegative
+    curves: tuple = ()  # int64 permutations of the tokens, as sfc.serialize_all gives
 
     def __post_init__(self):
         if not 1 <= self.stride <= self.window:
-            raise ValueError(f"stride {self.stride} outside 1..{self.window}")
+            raise ConfigError(f"stride {self.stride} outside 1..{self.window}")
         gate = np.asarray(self.gate, dtype=np.float64)
         if gate.shape != (self.window // 2 + 1,):
-            raise ValueError(
+            raise ConfigError(
                 f"gate length {gate.shape} != rFFT bins of window {self.window}"
             )
-        if (gate < 0).any():
-            raise ValueError("gate entries must be nonnegative")
+        if not np.isfinite(gate).all() or (gate < 0).any():
+            raise ConfigError("gate entries must be finite and nonnegative")
         object.__setattr__(self, "gate", gate)
 
 
@@ -158,12 +160,13 @@ def enhance(tokens: TokenMatrix, cfg: EnhancerConfig) -> TokenMatrix:
         raise CurveLengthMismatch("config carries no curve orders")
     k = tokens.n_tokens
     mixed_sum = np.zeros_like(tokens.feats)
-    for curve in cfg.curves:
-        if curve.n != k:
+    for perm in cfg.curves:
+        if perm.shape[0] != k:
             raise CurveLengthMismatch(
-                f"curve over {curve.n} tokens applied to {k} tokens"
+                f"curve over {perm.shape[0]} tokens applied to {k} tokens"
             )
-        mixed = windowed_mix(tokens.feats[curve.perm], cfg)
-        mixed_sum += mixed[curve.inv_perm]
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(k)
+        mixed_sum += windowed_mix(tokens.feats[perm], cfg)[inv]
     context = mixed_sum / len(cfg.curves)
     return TokenMatrix(feats=tokens.feats + context, centers=tokens.centers)

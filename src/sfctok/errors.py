@@ -7,7 +7,7 @@ class SfcTokError(Exception):
 
 # config
 class ConfigError(SfcTokError, ValueError):
-    """An unknown config key, or a value that does not parse or is out of range."""
+    """An unknown config key, or a malformed or out-of-range value or argument."""
 
 
 # core types

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import SENTINEL, _first_non_finite_row, stable_order
-from .errors import DimensionMismatch, InvalidVoteIds, NonFiniteCoordinate
+from .errors import ConfigError, DimensionMismatch, InvalidVoteIds, NonFiniteCoordinate
 
 
 @dataclass(frozen=True)
@@ -68,18 +68,19 @@ class SparseVoteGraph:
 def window_vote(labels, curve_orders, stride, radius) -> VoteBatch:
     """Cast one vote per (anchor, window position) pair with distinct labels.
 
-    Anchors sit at sorted positions 0, stride, 2*stride, ... of each curve;
-    the window spans [p - radius, p + radius] clipped to the sequence.
-    Sentinel-labeled points never vote.
+    Each curve order is an int64 permutation of the points, as
+    ``sfc.serialize_all`` gives it. Anchors sit at sorted positions 0,
+    stride, 2*stride, ... of each order; the window spans [p - radius,
+    p + radius] clipped to the sequence. Sentinel-labeled points never vote.
     """
     if stride < 1 or radius < 1:
-        raise ValueError("stride and radius must be >= 1")
+        raise ConfigError("stride and radius must be >= 1")
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.shape[0]
     src_parts, dst_parts = [], []
     anchors = np.arange(0, n, stride)
-    for curve in curve_orders:
-        lab = labels[curve.perm]
+    for perm in curve_orders:
+        lab = labels[perm]
         a_lab = lab[anchors]
         for delta in range(-radius, radius + 1):
             if delta == 0:
@@ -113,7 +114,7 @@ def coalesce(batch: VoteBatch) -> VoteBatch:
     and ``n * n`` must fit in int64.
     """
     if batch.coalesced:
-        raise ValueError("batch is already coalesced")
+        raise ConfigError("batch is already coalesced")
     if batch.n_edges == 0:
         return VoteBatch(
             src=batch.src, dst=batch.dst, votes=np.empty(0, dtype=np.int64)
@@ -173,7 +174,7 @@ def rerank_topk(batch: VoteBatch, centers, k) -> SparseVoteGraph:
     for every superpoint id in the batch.
     """
     if not batch.coalesced:
-        raise ValueError("batch must be coalesced before re-ranking")
+        raise ConfigError("batch must be coalesced before re-ranking")
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[1] != 3:
         raise DimensionMismatch(f"centers must be (M, 3), got {centers.shape}")

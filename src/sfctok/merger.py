@@ -18,6 +18,7 @@ from scipy.special import logsumexp
 
 from .core import SeededWeights, TokenMatrix
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     InvalidMarginals,
     NonFiniteKernel,
@@ -142,8 +143,8 @@ def sinkhorn(
     logits = np.asarray(logits, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     nu = np.asarray(nu, dtype=np.float64)
-    if tau <= 0:
-        raise ValueError(f"tau={tau} must be positive")
+    if not (np.isfinite(tau) and tau > 0):
+        raise ConfigError(f"tau={tau} must be positive and finite")
     if not np.isfinite(logits).all():
         raise NonFiniteKernel("logits contain non-finite entries")
     for name, marg, size in (("mu", mu, logits.shape[0]), ("nu", nu, logits.shape[1])):

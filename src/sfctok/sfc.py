@@ -1,41 +1,26 @@
-"""Quantization and 1D orderings from four 3D space-filling curves.
+"""Quantization and the four space-filling-curve orders of a 3D point set.
 
-Curve kinds: Z-order (Morton bit interleaving), Hilbert, and their
-axis-transposed variants obtained by swapping x and y before encoding. All
-encoders are exact integer maps, bijective over the b-bit grid.
+``serialize_all`` is the module's one entry point. It quantizes the points
+once onto a b-bit grid and returns four stable orders, each an int64
+permutation of the points: Z-order (Morton bit interleaving), Z-order with
+x and y swapped, Hilbert, and Hilbert with x and y swapped. Both encoders
+are exact integer maps, bijective over the b-bit grid.
 
-``serialize_all`` quantizes a point set once and derives all four keys from
-that one grid. Morton keys spread each axis's bits with shift-and-mask steps.
-Hilbert keys come from a 24-state machine that reads the Morton key's 3-bit
-digits from the most significant down and, per digit, looks up the Hilbert
-digit and the next state. It yields the same keys as Skilling's Gray-code
-transform ("Programming the Hilbert curve", 2004), from which its two tables
-were derived.
+Morton keys spread each axis's bits with shift-and-mask steps; there are
+two of them, one per axis order. Each Hilbert key comes from its Morton
+key: a 24-state machine reads the Morton key's 3-bit digits from the most
+significant down and, per digit, looks up the Hilbert digit and the next
+state. It yields the same keys as Skilling's Gray-code transform
+("Programming the Hilbert curve", 2004), from which its two tables were
+derived.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 
 from .core import stable_order
-
-
-class CurveKind(str, Enum):
-    ZORDER = "zorder"
-    ZORDER_T = "zorder_t"
-    HILBERT = "hilbert"
-    HILBERT_T = "hilbert_t"
-
-
-ALL_CURVES = (
-    CurveKind.ZORDER,
-    CurveKind.ZORDER_T,
-    CurveKind.HILBERT,
-    CurveKind.HILBERT_T,
-)
+from .errors import ConfigError
 
 # Hilbert state machine, indexed by state * 8 + Morton digit (z, y, x bits).
 # _HILBERT_DIGIT is the Hilbert digit of that level, _HILBERT_NEXT the state
@@ -94,20 +79,6 @@ _HILBERT_NEXT = np.array([
 ], dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class CurveOrder:
-    """A permutation (and inverse) induced by one SFC traversal of K points."""
-
-    kind: CurveKind
-    keys: np.ndarray  # (K,) int64
-    perm: np.ndarray  # (K,) int64, stable key order (ties in index order)
-    inv_perm: np.ndarray  # (K,) int64
-
-    @property
-    def n(self):
-        return self.keys.shape[0]
-
-
 def quantize(centers, b):
     """Map K x 3 real coordinates onto the b-bit integer grid.
 
@@ -115,7 +86,7 @@ def quantize(centers, b):
     (max - min)). A zero-extent axis maps to 0.
     """
     if not 1 <= b <= 16:
-        raise ValueError(f"bit depth {b} outside 1..16")
+        raise ConfigError(f"bit depth {b} outside 1..16")
     centers = np.asarray(centers, dtype=np.float64)
     lo = centers.min(axis=0)
     hi = centers.max(axis=0)
@@ -128,13 +99,6 @@ def quantize(centers, b):
         g = np.floor(top * (centers[:, axis] - lo[axis]) / span[axis])
         out[:, axis] = np.clip(g, 0, top).astype(np.int64)
     return out
-
-
-def transpose_coords(grid, kind):
-    """Swap the x and y axes for transposed curve kinds; identity otherwise."""
-    if kind in (CurveKind.ZORDER_T, CurveKind.HILBERT_T):
-        return grid[..., [1, 0, 2]]
-    return grid
 
 
 def _spread3(v):
@@ -158,14 +122,13 @@ def morton_encode(grid, b):
     return key
 
 
-def hilbert_encode(grid, b):
-    """3D Hilbert index in [0, 2^{3b} - 1], Skilling's curve.
+def hilbert_encode(key, b):
+    """3D Hilbert index in [0, 2^{3b} - 1] of b-bit Morton keys (Skilling's curve).
 
     Runs the 24-state machine over the Morton key's digits, most significant
     first: each level's (state, digit) pair gives the Hilbert digit and the
     state that reads the next lower digit.
     """
-    key = morton_encode(grid, b)
     state = np.zeros_like(key)
     out = np.zeros_like(key)
     for level in range(b - 1, -1, -1):
@@ -176,28 +139,15 @@ def hilbert_encode(grid, b):
     return out
 
 
-def encode(grid, kind, b):
-    """Apply the transpose (if any) then the curve's integer encoder."""
-    g = transpose_coords(np.asarray(grid, dtype=np.int64), kind)
-    if kind in (CurveKind.ZORDER, CurveKind.ZORDER_T):
-        return morton_encode(g, b)
-    return hilbert_encode(g, b)
-
-
-def _curve_order(grid, kind, b) -> CurveOrder:
-    keys = encode(grid, kind, b)
-    perm = stable_order([(keys, 3 * b)])
-    inv_perm = np.empty_like(perm)
-    inv_perm[perm] = np.arange(perm.shape[0])
-    return CurveOrder(kind=kind, keys=keys, perm=perm, inv_perm=inv_perm)
-
-
-def serialize(centers, kind, b=10) -> CurveOrder:
-    """Quantize centers and produce the stable key-sorted traversal order."""
-    return _curve_order(quantize(centers, b), kind, b)
-
-
 def serialize_all(centers, b=10):
-    """Orders for all four curve kinds over one quantization of the centers."""
+    """Z, Z-transposed, Hilbert and Hilbert-transposed orders of the centers.
+
+    Each order is the int64 permutation that sorts the curve's keys stably
+    (ties in index order). The centers are quantized once; the transposed
+    curves encode the grid with x and y swapped, and each Hilbert key is
+    read off the Morton key of the same axis order.
+    """
     grid = quantize(centers, b)
-    return [_curve_order(grid, kind, b) for kind in ALL_CURVES]
+    morton = [morton_encode(grid, b), morton_encode(grid[:, [1, 0, 2]], b)]
+    keys = morton + [hilbert_encode(key, b) for key in morton]
+    return [stable_order([(key, 3 * b)]) for key in keys]

@@ -25,7 +25,7 @@ from sfctok.graph import (
 from sfctok.io import write_token_file
 from sfctok.merger import sinkhorn, smooth_features, soft_pool, spectral_embed
 from sfctok.pipeline import build_vote_graph, run_pipeline
-from sfctok.sfc import ALL_CURVES, CurveKind, encode, serialize, serialize_all
+from sfctok.sfc import hilbert_encode, morton_encode, serialize_all
 from sfctok.synth import make_scene
 from sfctok.tokenizer import voxel_superpoints
 
@@ -51,14 +51,15 @@ def test_criterion_1_sfc_bijectivity():
     for b in (1, 2, 3, 4):
         grid = full_grid(b)
         want = np.arange(1 << (3 * b))
-        for kind in ALL_CURVES:
-            keys = encode(grid, kind, b)
-            ok = ok and np.array_equal(np.sort(keys), want)
+        for g in (grid, grid[:, [1, 0, 2]]):  # plain and x/y-transposed curves
+            morton = morton_encode(g, b)
+            for keys in (morton, hilbert_encode(morton, b)):
+                ok = ok and np.array_equal(np.sort(keys), want)
     for b in (1, 2, 3, 4):
         grid = full_grid(b)
-        for kind in (CurveKind.HILBERT, CurveKind.HILBERT_T):
-            keys = encode(grid, kind, b)
-            path = grid[np.argsort(keys)]
+        # the full grid quantizes onto itself; orders 2 and 3 are the Hilbert ones
+        for perm in serialize_all(grid.astype(np.float64), b)[2:]:
+            path = grid[perm]
             steps = np.abs(np.diff(path, axis=0)).sum(axis=1)
             ok = ok and (steps == 1).all()
     elapsed = time.perf_counter() - t0
@@ -75,8 +76,8 @@ def test_criterion_2_enhancer_identity():
         tokens = TokenMatrix(
             feats=rng.normal(size=(k, d)), centers=rng.uniform(size=(k, 3))
         )
-        curve = serialize(tokens.centers, CurveKind.HILBERT, b=8)
-        cfg = EnhancerConfig(window=64, stride=16, gate=np.ones(33), curves=(curve,))
+        hilbert = serialize_all(tokens.centers, b=8)[2]
+        cfg = EnhancerConfig(window=64, stride=16, gate=np.ones(33), curves=(hilbert,))
         out = enhance(tokens, cfg)
         rel = np.abs(out.feats - 2 * tokens.feats).max() / max(
             np.abs(tokens.feats).max(), 1e-30

@@ -11,8 +11,8 @@ from sfctok.enhancer import (
     squared_hann,
     windowed_mix,
 )
-from sfctok.errors import CurveLengthMismatch
-from sfctok.sfc import CurveKind, serialize, serialize_all
+from sfctok.errors import ConfigError, CurveLengthMismatch
+from sfctok.sfc import serialize_all
 
 
 def identity_cfg(window=64, stride=16, curves=()):
@@ -160,8 +160,8 @@ class TestEnhance:
 
     def test_identity_gate_single_curve_doubles(self, rng):
         s = self.make_tokens(rng)
-        curve = serialize(s.centers, CurveKind.HILBERT, b=8)
-        out = enhance(s, identity_cfg(curves=(curve,)))
+        hilbert = serialize_all(s.centers, b=8)[2]
+        out = enhance(s, identity_cfg(curves=(hilbert,)))
         assert np.allclose(out.feats, 2 * s.feats, rtol=1e-8)
 
     def test_four_tokens_closed_form(self, rng):
@@ -169,9 +169,11 @@ class TestEnhance:
         centers = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]])
         feats = rng.normal(size=(4, 3))
         s = TokenMatrix(feats=feats, centers=centers)
-        curve = serialize(centers, CurveKind.ZORDER, b=4)
-        assert np.array_equal(curve.perm, np.arange(4))
-        cfg = EnhancerConfig(window=4, stride=4, gate=lowpass_gate(4, 1), curves=(curve,))
+        zorder = serialize_all(centers, b=4)[0]
+        assert np.array_equal(zorder, np.arange(4))
+        cfg = EnhancerConfig(
+            window=4, stride=4, gate=lowpass_gate(4, 1), curves=(zorder,)
+        )
         out = enhance(s, cfg)
         mean = feats.mean(axis=0)
         expected = feats + mean
@@ -207,7 +209,7 @@ class TestEnhance:
 
     def test_curve_length_mismatch(self, rng):
         s = self.make_tokens(rng, k=10)
-        bad_curve = serialize(rng.uniform(size=(11, 3)), CurveKind.ZORDER, b=4)
+        bad_curve = serialize_all(rng.uniform(size=(11, 3)), b=4)[0]
         with pytest.raises(CurveLengthMismatch):
             enhance(s, identity_cfg(curves=(bad_curve,)))
 
@@ -216,3 +218,33 @@ class TestEnhance:
         curves = tuple(serialize_all(s.centers, b=8))
         out = enhance(s, identity_cfg(curves=curves))
         assert np.array_equal(out.centers, s.centers)
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "stride, gate, match",
+        [
+            (0, np.ones(33), "stride 0"),
+            (65, np.ones(33), "stride 65"),
+            (16, np.ones(32), "gate length"),
+            (16, np.r_[np.ones(32), -1.0], "finite and nonnegative"),
+        ],
+        ids=["stride_zero", "stride_past_window", "gate_length", "negative_gate"],
+    )
+    def test_bad_config_is_config_error(self, stride, gate, match):
+        with pytest.raises(ConfigError, match=match):
+            EnhancerConfig(window=64, stride=stride, gate=gate)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gate_rejected(self, bad):
+        # a NaN or infinite gate entry would make enhance return non-finite tokens
+        gate = np.ones(33)
+        gate[5] = bad
+        with pytest.raises(ConfigError, match="finite and nonnegative"):
+            EnhancerConfig(window=64, stride=16, gate=gate)
+
+    def test_negative_k_low_rejected(self):
+        # a negative k_low would slice from the end and keep most bins
+        with pytest.raises(ConfigError, match="k_low -3"):
+            lowpass_gate(64, -3)
+        assert not lowpass_gate(64, 0).any()

@@ -3,7 +3,12 @@ import re
 import numpy as np
 import pytest
 
-from sfctok.errors import DimensionMismatch, InvalidVoteIds, NonFiniteCoordinate
+from sfctok.errors import (
+    ConfigError,
+    DimensionMismatch,
+    InvalidVoteIds,
+    NonFiniteCoordinate,
+)
 from sfctok.graph import (
     SparseVoteGraph,
     VoteBatch,
@@ -13,7 +18,7 @@ from sfctok.graph import (
     rerank_topk,
     window_vote,
 )
-from sfctok.sfc import CurveKind, serialize, serialize_all
+from sfctok.sfc import serialize_all
 from sfctok.synth import make_scene
 from sfctok.tokenizer import voxel_superpoints
 
@@ -36,7 +41,7 @@ def edge_tuples(batch):
 class TestWindowVote:
     def x_curve(self, n):
         centers = np.stack([np.arange(n, dtype=float), np.zeros(n), np.zeros(n)], 1)
-        return serialize(centers, CurveKind.ZORDER, b=8)
+        return serialize_all(centers, b=8)[0]  # the Z-order
 
     def test_single_superpoint_no_votes(self):
         votes = window_vote(np.zeros(10, dtype=int), [self.x_curve(10)], 1, 2)
@@ -301,3 +306,20 @@ class TestSoundness:
         g = rerank_topk(batch, part.centers, k=6)
         for s, t in zip(g.src.tolist(), g.dst.tolist()):
             assert (s, t) in voted or (t, s) in voted
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("stride, radius", [(0, 2), (1, 0)])
+    def test_window_vote_bounds(self, stride, radius):
+        perm = np.arange(4)
+        with pytest.raises(ConfigError, match="stride and radius"):
+            window_vote(np.array([0, 0, 1, 1]), [perm], stride, radius)
+
+    def test_coalesce_twice(self):
+        out = coalesce(batch_from([(0, 1, 2)]))
+        with pytest.raises(ConfigError, match="already coalesced"):
+            coalesce(out)
+
+    def test_rerank_raw_batch(self):
+        with pytest.raises(ConfigError, match="must be coalesced"):
+            rerank_topk(batch_from([(0, 1, 2)]), np.zeros((2, 3)), 4)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfctok.core import SeededWeights, TokenMatrix, seeded_init
-from sfctok.errors import DimensionMismatch, InvalidMarginals, RankTooLarge
+from sfctok.errors import ConfigError, DimensionMismatch, InvalidMarginals, RankTooLarge
 from sfctok.merger import (
     importance_scores,
     project_logits,
@@ -203,6 +203,13 @@ class TestSinkhorn:
                         max_iters=0)
         assert plan.iterations == 0 and plan.residual == np.inf
         assert np.array_equal(plan.plan, np.exp(logits / 0.5))
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_bad_tau_is_config_error(self, tau):
+        # NaN used to pass the positivity check and fail as "plan overflowed"
+        logits = np.zeros((3, 2))
+        with pytest.raises(ConfigError, match="must be positive and finite"):
+            sinkhorn(logits, np.full(3, 1 / 3), np.full(2, 1 / 2), tau=tau)
 
     def test_invalid_marginals(self):
         logits = np.zeros((3, 3))

@@ -4,17 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfctok import sfc
-from sfctok.sfc import (
-    ALL_CURVES,
-    CurveKind,
-    encode,
-    hilbert_encode,
-    morton_encode,
-    quantize,
-    serialize,
-    serialize_all,
-    transpose_coords,
-)
+from sfctok.errors import ConfigError
+from sfctok.sfc import hilbert_encode, morton_encode, quantize, serialize_all
+
+# serialize_all's orders, in the order it returns them
+CURVES = ("zorder", "zorder_t", "hilbert", "hilbert_t")
+
+
+def transposed(grid, kind):
+    """The grid with x and y swapped for the transposed curves."""
+    grid = np.asarray(grid, dtype=np.int64)
+    return grid[..., [1, 0, 2]] if kind.endswith("_t") else grid
+
+
+def curve_keys(grid, kind, b):
+    """The module's keys of one curve: Morton, or Hilbert read off Morton."""
+    key = morton_encode(transposed(grid, kind), b)
+    return hilbert_encode(key, b) if kind.startswith("hilbert") else key
 
 
 def naive_morton(grid, b):
@@ -71,10 +77,14 @@ def naive_hilbert(grid, b):
 
 
 def naive_encode(grid, kind, b):
-    g = transpose_coords(np.asarray(grid, dtype=np.int64), kind)
-    if kind in (CurveKind.ZORDER, CurveKind.ZORDER_T):
-        return naive_morton(g, b)
-    return naive_hilbert(g, b)
+    g = transposed(grid, kind)
+    return naive_hilbert(g, b) if kind.startswith("hilbert") else naive_morton(g, b)
+
+
+def naive_orders(centers, b):
+    """The four curve orders from the naive keys and NumPy's stable argsort."""
+    grid = quantize(centers, b)
+    return [np.argsort(naive_encode(grid, kind, b), kind="stable") for kind in CURVES]
 
 
 def morton_decode(keys, b):
@@ -144,6 +154,11 @@ class TestQuantize:
         g = quantize(np.array([[1.0, 2.0, 3.0]]), 8)
         assert np.array_equal(g, [[0, 0, 0]])
 
+    @pytest.mark.parametrize("b", [0, 17])
+    def test_bit_depth_out_of_range_is_config_error(self, b):
+        with pytest.raises(ConfigError, match=f"bit depth {b}"):
+            quantize(np.zeros((2, 3)), b)
+
     def test_hand_evaluated_middle_row(self):
         centers = np.array([[0.0, 0, 0], [1.0, 2, 3], [2.0, 4, 6]])
         g = quantize(centers, 2)
@@ -179,34 +194,34 @@ class TestMorton:
 
 class TestHilbert:
     def test_origin_is_zero(self):
-        assert hilbert_encode(np.array([[0, 0, 0]]), 1)[0] == 0
+        assert curve_keys(np.array([[0, 0, 0]]), "hilbert", 1)[0] == 0
 
     def test_b1_bijective(self):
-        keys = hilbert_encode(full_grid(1), 1)
+        keys = curve_keys(full_grid(1), "hilbert", 1)
         assert np.array_equal(np.sort(keys), np.arange(8))
 
     @pytest.mark.parametrize("b", [1, 2, 3, 4])
     def test_consecutive_cells_adjacent(self, b):
         grid = full_grid(b)
-        keys = hilbert_encode(grid, b)
+        keys = hilbert_encode(morton_encode(grid, b), b)
         cells = grid[np.argsort(keys)]
         steps = np.abs(np.diff(cells, axis=0)).sum(axis=1)
         assert (steps == 1).all()
 
 
-@pytest.mark.parametrize("kind", ALL_CURVES)
+@pytest.mark.parametrize("kind", CURVES)
 @pytest.mark.parametrize("b", [1, 2, 3, 4])
 def test_all_curves_bijective(kind, b):
-    keys = encode(full_grid(b), kind, b)
+    keys = curve_keys(full_grid(b), kind, b)
     assert np.array_equal(np.sort(keys), np.arange((1 << b) ** 3))
 
 
 class TestEncoderOracles:
-    @pytest.mark.parametrize("kind", ALL_CURVES)
+    @pytest.mark.parametrize("kind", CURVES)
     @pytest.mark.parametrize("b", range(1, 17))
     def test_keys_equal_naive(self, kind, b):
         grid = random_grid(np.random.Generator(np.random.PCG64(b)), b)
-        assert np.array_equal(encode(grid, kind, b), naive_encode(grid, kind, b))
+        assert np.array_equal(curve_keys(grid, kind, b), naive_encode(grid, kind, b))
 
     def test_tables_rebuilt_from_naive(self):
         digit, nxt = hilbert_tables_from_oracle()
@@ -215,70 +230,82 @@ class TestEncoderOracles:
         assert np.array_equal(nxt, sfc._HILBERT_NEXT)
 
 
+def swap_xy(centers):
+    return centers[:, [1, 0, 2]]
+
+
 class TestTranspose:
-    def test_zorder_t_swaps_xy(self):
-        g = np.array([[1, 2, 3]])
-        assert np.array_equal(transpose_coords(g, CurveKind.ZORDER_T), [[2, 1, 3]])
-        assert encode(g, CurveKind.ZORDER_T, 2)[0] == morton_encode(
-            np.array([[2, 1, 3]]), 2
-        )
+    """The transposed orders are the plain orders of the x/y-swapped points."""
 
-    def test_diagonal_fixed_point(self):
-        g = np.array([[5, 5, 5]])
-        assert encode(g, CurveKind.HILBERT_T, 4)[0] == hilbert_encode(g, 4)[0]
+    def test_zorder_t_swaps_xy(self, rng):
+        centers = rng.uniform(size=(60, 3))
+        orders = serialize_all(centers, b=4)
+        swapped = serialize_all(swap_xy(centers), b=4)
+        assert np.array_equal(orders[1], swapped[0])
+        assert np.array_equal(orders[3], swapped[2])
 
-    def test_involution(self):
-        g = np.array([[1, 2, 3], [7, 0, 2]])
-        twice = transpose_coords(
-            transpose_coords(g, CurveKind.HILBERT_T), CurveKind.HILBERT_T
-        )
-        assert np.array_equal(twice, g)
+    def test_diagonal_fixed_point(self, rng):
+        centers = rng.uniform(size=(60, 3))
+        centers[:, 1] = centers[:, 0]  # every point on the x = y plane
+        z, z_t, h, h_t = serialize_all(centers, b=4)
+        assert np.array_equal(z_t, z)
+        assert np.array_equal(h_t, h)
 
-    def test_identity_for_plain_kinds(self):
-        g = np.array([[1, 2, 3]])
-        assert np.array_equal(transpose_coords(g, CurveKind.ZORDER), g)
+    def test_involution(self, rng):
+        centers = rng.uniform(size=(60, 3))
+        z, z_t, h, h_t = serialize_all(centers, b=5)
+        swapped = serialize_all(swap_xy(centers), b=5)
+        for got, want in zip(swapped, (z_t, z, h_t, h)):
+            assert np.array_equal(got, want)
+
+    def test_identity_for_plain_kinds(self, rng):
+        centers = rng.uniform(size=(60, 3))
+        key = morton_encode(quantize(centers, 6), 6)
+        z, _, h, _ = serialize_all(centers, b=6)
+        assert np.array_equal(z, np.argsort(key, kind="stable"))
+        assert np.array_equal(h, np.argsort(hilbert_encode(key, 6), kind="stable"))
 
 
 class TestSerialize:
     def test_single_point(self):
-        order = serialize(np.array([[1.0, 2.0, 3.0]]), CurveKind.HILBERT, b=4)
-        assert np.array_equal(order.perm, [0])
+        for perm in serialize_all(np.array([[1.0, 2.0, 3.0]]), b=4):
+            assert np.array_equal(perm, [0])
 
     def test_collinear_x_matches_coordinate_order(self):
         xs = np.array([3.0, 0.0, 2.0, 1.0])
         centers = np.stack([xs, np.zeros(4), np.zeros(4)], axis=1)
-        order = serialize(centers, CurveKind.ZORDER, b=4)
+        perm = serialize_all(centers, b=4)[0]
         # brute force: argsort of hand-computed keys = argsort of x
-        assert np.array_equal(order.perm, np.argsort(xs))
+        assert np.array_equal(perm, np.argsort(xs))
 
     def test_perm_inverse_roundtrip(self, rng):
         centers = rng.uniform(size=(50, 3))
-        order = serialize(centers, CurveKind.HILBERT, b=6)
+        perm = serialize_all(centers, b=6)[2]
+        inv = np.empty_like(perm)  # built as enhance builds it
+        inv[perm] = np.arange(50)
         tokens = rng.normal(size=(50, 4))
-        assert np.array_equal(tokens[order.perm][order.inv_perm], tokens)
-        assert np.array_equal(order.inv_perm[order.perm], np.arange(50))
+        assert np.array_equal(tokens[perm][inv], tokens)
+        assert np.array_equal(inv[perm], np.arange(50))
 
     def test_perm_sorts_keys_stably(self, rng):
         centers = rng.uniform(size=(40, 3))
         centers[10] = centers[20]  # force a key tie
-        order = serialize(centers, CurveKind.ZORDER, b=3)
-        sorted_keys = order.keys[order.perm]
+        perm = serialize_all(centers, b=3)[0]
+        sorted_keys = morton_encode(quantize(centers, 3), 3)[perm]
         assert (np.diff(sorted_keys) >= 0).all()
         ties = np.flatnonzero(np.diff(sorted_keys) == 0)
         for i in ties:
-            assert order.perm[i] < order.perm[i + 1]
+            assert perm[i] < perm[i + 1]
 
     @pytest.mark.parametrize("b", [1, 10, 16])
     def test_serialize_all_matches_naive_per_kind(self, rng, b):
         centers = rng.normal(size=(300, 3))
         centers[:, 2] = 0.5  # a flat axis quantizes to 0
-        grid = quantize(centers, b)
-        for kind, order in zip(ALL_CURVES, serialize_all(centers, b)):
-            single = serialize(centers, kind, b)
-            assert order.kind == kind
-            assert np.array_equal(order.keys, naive_encode(grid, kind, b))
-            assert np.array_equal(order.perm, single.perm)
-            assert np.array_equal(order.inv_perm, single.inv_perm)
+        orders = serialize_all(centers, b)
+        assert len(orders) == len(CURVES)
+        for perm, want in zip(orders, naive_orders(centers, b)):
+            assert perm.dtype == np.int64
+            assert np.array_equal(perm, want)
 
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)
@@ -286,6 +313,39 @@ class TestSerialize:
         r = np.random.Generator(np.random.PCG64(seed))
         centers = r.uniform(size=(30, 3))
         shuffle = r.permutation(30)
-        a = serialize(centers, CurveKind.HILBERT, b=8)
-        b = serialize(centers[shuffle], CurveKind.HILBERT, b=8)
-        assert np.array_equal(a.keys[a.perm], b.keys[b.perm])
+        a = serialize_all(centers, b=8)[2]
+        b = serialize_all(centers[shuffle], b=8)[2]
+        a_keys = curve_keys(quantize(centers, 8), "hilbert", 8)
+        b_keys = curve_keys(quantize(centers[shuffle], 8), "hilbert", 8)
+        assert np.array_equal(a_keys[a], b_keys[b])
+
+
+class TestSerializeAllOracle:
+    """Each order is NumPy's stable argsort of the naive keys."""
+
+    @given(
+        b=st.integers(1, 16),
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        n_dup=st.integers(0, 30),
+        flat_axis=st.sampled_from([None, 0, 1, 2]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_orders_equal_stable_argsort_of_naive_keys(
+        self, b, n, seed, n_dup, flat_axis
+    ):
+        r = np.random.Generator(np.random.PCG64(seed))
+        centers = r.normal(size=(n, 3))
+        centers[r.integers(0, n, size=n_dup)] = centers[r.integers(0, n, size=n_dup)]
+        if flat_axis is not None:
+            centers[:, flat_axis] = 0.25
+        for perm, want in zip(serialize_all(centers, b), naive_orders(centers, b)):
+            assert np.array_equal(perm, want)
+
+    def test_two_sort_passes_at_b16(self, rng):
+        # 3b = 48 key bits and 16 row bits overflow one 63-bit sort word
+        n = (1 << 15) + 500
+        centers = rng.normal(size=(n, 3))
+        centers[1::2] = centers[0:-1:2]  # every odd point repeats its predecessor
+        for perm, want in zip(serialize_all(centers, 16), naive_orders(centers, 16)):
+            assert np.array_equal(perm, want)
