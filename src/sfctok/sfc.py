@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import stable_order
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatch
 
 # Hilbert state machine, indexed by state * 8 + Morton digit (z, y, x bits).
 # _HILBERT_DIGIT is the Hilbert digit of that level, _HILBERT_NEXT the state
@@ -129,6 +129,8 @@ def hilbert_encode(key, b):
     first: each level's (state, digit) pair gives the Hilbert digit and the
     state that reads the next lower digit.
     """
+    if key.ndim != 1:
+        raise DimensionMismatch(f"Morton keys must be 1-D, got shape {key.shape}")
     state = np.zeros_like(key)
     out = np.zeros_like(key)
     for level in range(b - 1, -1, -1):

@@ -207,14 +207,18 @@ def point_tokens(
     return x0
 
 
-def _chunks(sorted_labels):
+def _chunks(sorted_labels, n_sentinel):
     """(lo, hi) spans of the label-sorted points, about CHUNK_POINTS each.
 
-    Cuts fall at label starts only, so every chunk holds whole superpoints.
+    Cuts fall at label starts, or anywhere in the leading sentinel run, so
+    every chunk holds whole superpoints.
     """
     n = sorted_labels.shape[0]
-    starts = np.flatnonzero(sorted_labels[1:] != sorted_labels[:-1]) + 1
-    cuts = np.concatenate(([0], starts, [n]))
+    cuts = np.union1d(
+        np.arange(0, max(n_sentinel, 1), CHUNK_POINTS),  # 0 is always a cut
+        np.flatnonzero(sorted_labels[1:] != sorted_labels[:-1]) + 1,
+    )
+    cuts = np.append(cuts, n)
     lo = 0
     while lo < n:
         hi = cuts[np.searchsorted(cuts, lo + CHUNK_POINTS, side="right") - 1]
@@ -232,13 +236,11 @@ def superpoint_pool(
 ) -> TokenMatrix:
     """Superpoint tokens of ``cloud``; sentinel points are excluded.
 
-    The points are sorted by label once, the sentinel points (sorted first)
-    are cut off, and the rest are streamed in chunks of whole superpoints.
-    Each chunk's ``point_tokens`` rows (with the whole cloud's box) are
-    averaged per label into one (M, h+d) array; then the MLP's last layer
-    runs over the h hidden columns of each mean, plus the mean of the
-    embedding columns. Every labeled point goes through ``point_tokens``
-    once, and no sentinel point does.
+    The points are sorted by label once and streamed in chunks of whole
+    superpoints. Each chunk's ``point_tokens`` rows (with the whole cloud's
+    box) are averaged per label into one (M, h+d) array; then the MLP's last
+    layer runs over the h hidden columns of each mean, plus the mean of the
+    embedding columns. Every point goes through ``point_tokens`` once.
     """
     _, head = _split_head(weights)
     h, d = head.shapes[0]
@@ -247,19 +249,21 @@ def superpoint_pool(
     labels = np.asarray(part.labels, dtype=np.int64)
     counts = label_counts(labels, part.n_superpoints)
     n_sentinel = labels.shape[0] - int(counts.sum())
-    # sentinels (-1) sort first and are cut off; labels + 1 <= M
-    order = stable_order([(labels + 1, part.n_superpoints.bit_length())])[n_sentinel:]
+    # sentinels (-1) first; labels + 1 <= M
+    order = stable_order([(labels + 1, part.n_superpoints.bit_length())])
     sorted_labels = labels[order]
     box = bounding_box(cloud.positions)
     pooled = np.empty((part.n_superpoints, h + d))
-    for lo, hi in _chunks(sorted_labels):
+    for lo, hi in _chunks(sorted_labels, n_sentinel):
         idx = order[lo:hi]
         chunk = PointCloud(positions=cloud.positions[idx], features=cloud.features[idx])
         rows = point_tokens(chunk, weights, cfg, box)
-        lab = sorted_labels[lo:hi]
-        first, last = lab[0], lab[-1]
-        means, _ = segment_mean(lab - first, last + 1 - first, rows)
-        pooled[first : last + 1] = means
+        skip = max(n_sentinel - lo, 0)
+        if skip < hi - lo:
+            lab = sorted_labels[lo + skip : hi]
+            first, last = lab[0], lab[-1]
+            means, _ = segment_mean(lab - first, last + 1 - first, rows[skip:])
+            pooled[first : last + 1] = means
         del chunk, rows  # free this chunk's rows before the next are made
     feats = mlp_project(pooled[:, :h], head)
     feats += pooled[:, h:]

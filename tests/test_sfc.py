@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfctok import sfc
-from sfctok.errors import ConfigError
+from sfctok.errors import ConfigError, DimensionMismatch
 from sfctok.sfc import hilbert_encode, morton_encode, quantize, serialize_all
 
 # serialize_all's orders, in the order it returns them
@@ -208,6 +208,10 @@ class TestHilbert:
         steps = np.abs(np.diff(cells, axis=0)).sum(axis=1)
         assert (steps == 1).all()
 
+    def test_grid_instead_of_morton_key_is_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            hilbert_encode(full_grid(2), 2)
+
 
 @pytest.mark.parametrize("kind", CURVES)
 @pytest.mark.parametrize("b", [1, 2, 3, 4])
@@ -297,10 +301,18 @@ class TestSerialize:
         for i in ties:
             assert perm[i] < perm[i + 1]
 
-    @pytest.mark.parametrize("b", [1, 10, 16])
-    def test_serialize_all_matches_naive_per_kind(self, rng, b):
-        centers = rng.normal(size=(300, 3))
+    @pytest.mark.parametrize(
+        "b, n, dup",
+        [(1, 300, False), (10, 300, False), (16, 300, False),
+         # 3b = 48 key bits and 16 row bits overflow one 63-bit sort word
+         (16, (1 << 15) + 500, True)],
+        ids=["1", "10", "16", "16-two-passes"],
+    )
+    def test_serialize_all_matches_naive_per_kind(self, rng, b, n, dup):
+        centers = rng.normal(size=(n, 3))
         centers[:, 2] = 0.5  # a flat axis quantizes to 0
+        if dup:
+            centers[1::2] = centers[0:-1:2]  # every odd point repeats its predecessor
         orders = serialize_all(centers, b)
         assert len(orders) == len(CURVES)
         for perm, want in zip(orders, naive_orders(centers, b)):
@@ -340,12 +352,4 @@ class TestSerializeAllOracle:
         if flat_axis is not None:
             centers[:, flat_axis] = 0.25
         for perm, want in zip(serialize_all(centers, b), naive_orders(centers, b)):
-            assert np.array_equal(perm, want)
-
-    def test_two_sort_passes_at_b16(self, rng):
-        # 3b = 48 key bits and 16 row bits overflow one 63-bit sort word
-        n = (1 << 15) + 500
-        centers = rng.normal(size=(n, 3))
-        centers[1::2] = centers[0:-1:2]  # every odd point repeats its predecessor
-        for perm, want in zip(serialize_all(centers, 16), naive_orders(centers, 16)):
             assert np.array_equal(perm, want)
