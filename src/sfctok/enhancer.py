@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TokenMatrix
-from .errors import ConfigError, CurveLengthMismatch
+from .errors import ConfigError, CurveLengthMismatch, CurveNotPermutation
 
 ZERO_WEIGHT_EPS = 1e-12
 
@@ -113,7 +113,7 @@ def _mix_operator(n, cfg: EnhancerConfig, lo, hi):
     return out
 
 
-def windowed_mix(seq, cfg: EnhancerConfig):
+def windowed_mix(seq, cfg: EnhancerConfig, out=None):
     """Mix a K x d sequence window by window and overlap-add.
 
     The result is ``_mix_operator(K, cfg, 0, K) @ seq``: the squared-Hann
@@ -127,46 +127,75 @@ def windowed_mix(seq, cfg: EnhancerConfig):
     to the input span that covers it. Those blocks come from one batched
     product with a strided view of the spans; the head and tail rows come
     from small operators over the input rows that reach them.
+
+    ``out``, if given, is a C-contiguous float64 K x d array that does not
+    overlap ``seq``; the result is written there and returned.
     """
     seq = np.ascontiguousarray(seq, dtype=np.float64)
     k, d = seq.shape
+    if out is None:
+        out = np.empty_like(seq)
     L, R = cfg.window, cfg.stride
     m = -(-L // R)
     head = (m - 1) * R
     span = head + L
     if k < span:
-        return _mix_operator(k, cfg, 0, k) @ seq
+        return np.matmul(_mix_operator(k, cfg, 0, k), seq, out=out)
 
     n_full = (k - L) // R + 1
     n_blocks = n_full - m + 1
     tail = n_full * R
     t0 = -(-(tail - L + 1) // R) * R  # start of the first window covering row tail
     ops = _mix_operator(span, cfg, 0, head + R)
-    out = np.empty_like(seq)
-    out[:head] = ops[:head] @ seq[:span]
+    np.matmul(ops[:head], seq[:span], out=out[:head])
     spans = np.lib.stride_tricks.sliding_window_view(seq, span, axis=0)[::R]
     np.matmul(
         ops[head:],
         spans[:n_blocks].transpose(0, 2, 1),
         out=out[head:tail].reshape(n_blocks, R, d),
     )
-    out[tail:] = _mix_operator(k - t0, cfg, tail - t0, k - t0) @ seq[t0:]
+    np.matmul(
+        _mix_operator(k - t0, cfg, tail - t0, k - t0), seq[t0:], out=out[tail:]
+    )
     return out
 
 
+def _inverse(perm, k, index):
+    """Inverse of curve ``index``; raises unless it permutes 0..k-1."""
+    perm = np.asarray(perm)
+    if perm.shape != (k,):
+        raise CurveLengthMismatch(
+            f"curve {index} of shape {perm.shape} applied to {k} tokens"
+        )
+    inv = np.full(k, -1, dtype=np.int64)
+    if perm.dtype.kind in "iu" and (k == 0 or 0 <= perm.min() <= perm.max() < k):
+        inv[perm] = np.arange(k)
+    if (inv < 0).any():  # an entry out of range, or a token repeated and one missed
+        raise CurveNotPermutation(f"curve {index} is not a permutation of 0..{k - 1}")
+    return inv
+
+
 def enhance(tokens: TokenMatrix, cfg: EnhancerConfig) -> TokenMatrix:
-    """Residual multi-curve enhancement: S + mean_over_curves(mix(S[perm]))."""
+    """Residual multi-curve enhancement: S + mean_over_curves(mix(S[perm])).
+
+    Every curve must permute the K tokens. Each curve's gather, mix and
+    scatter back run through two reused K x d buffers into one sum, added
+    in curve order.
+    """
     if not cfg.curves:
         raise CurveLengthMismatch("config carries no curve orders")
+    feats = np.asarray(tokens.feats, dtype=np.float64)
     k = tokens.n_tokens
-    mixed_sum = np.zeros_like(tokens.feats)
-    for perm in cfg.curves:
-        if perm.shape[0] != k:
-            raise CurveLengthMismatch(
-                f"curve over {perm.shape[0]} tokens applied to {k} tokens"
-            )
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(k)
-        mixed_sum += windowed_mix(tokens.feats[perm], cfg)[inv]
-    context = mixed_sum / len(cfg.curves)
-    return TokenMatrix(feats=tokens.feats + context, centers=tokens.centers)
+    inverses = [_inverse(perm, k, i) for i, perm in enumerate(cfg.curves)]
+    seq = np.empty(feats.shape)
+    mixed = np.empty(feats.shape)
+    acc = np.zeros(feats.shape)
+    # mode="clip" skips the bounds check that _inverse has already made
+    for perm, inv in zip(cfg.curves, inverses):
+        np.take(feats, perm, axis=0, out=seq, mode="clip")
+        windowed_mix(seq, cfg, out=mixed)
+        np.take(mixed, inv, axis=0, out=seq, mode="clip")
+        acc += seq
+    acc /= len(cfg.curves)
+    acc += feats
+    return TokenMatrix(feats=acc, centers=tokens.centers)

@@ -55,6 +55,10 @@ class CurveLengthMismatch(SfcTokError):
     pass
 
 
+class CurveNotPermutation(CurveLengthMismatch):
+    """A curve order that repeats or misses a token, or names one out of range."""
+
+
 # graph
 class InvalidVoteIds(SfcTokError):
     pass

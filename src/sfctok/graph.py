@@ -77,21 +77,24 @@ def window_vote(labels, curve_orders, stride, radius) -> VoteBatch:
         raise ConfigError("stride and radius must be >= 1")
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.shape[0]
-    src_parts, dst_parts = [], []
     anchors = np.arange(0, n, stride)
+    deltas = np.concatenate((np.arange(-radius, 0), np.arange(1, radius + 1)))
+    # window positions of every (delta, anchor) pair inside the sequence,
+    # delta-major, and the anchor of each
+    grid = anchors[None, :] + deltas[:, None]
+    ok = (grid >= 0) & (grid < n)
+    at = grid[ok]
+    anchor_at = np.broadcast_to(anchors, grid.shape)[ok]
+    del grid, ok
+    src_parts, dst_parts = [], []
     for perm in curve_orders:
         lab = labels[perm]
-        a_lab = lab[anchors]
-        for delta in range(-radius, radius + 1):
-            if delta == 0:
-                continue
-            q = anchors + delta
-            ok = (q >= 0) & (q < n)
-            s = a_lab[ok]
-            t = lab[q[ok]]
-            keep = (s != SENTINEL) & (t != SENTINEL) & (s != t)
-            src_parts.append(s[keep])
-            dst_parts.append(t[keep])
+        s, t = lab[anchor_at], lab[at]
+        keep = (s != SENTINEL) & (t != SENTINEL) & (s != t)
+        src_parts.append(s[keep])
+        dst_parts.append(t[keep])
+        del lab, s, t, keep
+    del at, anchor_at  # free the grid before the concatenation
     src = np.concatenate(src_parts) if src_parts else np.empty(0, dtype=np.int64)
     dst = np.concatenate(dst_parts) if dst_parts else np.empty(0, dtype=np.int64)
     return VoteBatch(src=src, dst=dst)

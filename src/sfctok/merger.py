@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import SeededWeights, TokenMatrix
 from .errors import (
@@ -61,6 +60,36 @@ def _fix_signs(u, vt):
     return u * signs, vt * signs[:, None]
 
 
+# Rows per block of _orthonormal_basis: a 1024 x 40 block (330 kB) stays in
+# cache through its Householder sweeps.
+QR_BLOCK_ROWS = 1024
+
+
+def _orthonormal_basis(a):
+    """Orthonormal basis of the columns of a tall ``a``, as ``np.linalg.qr`` gives.
+
+    Above ``QR_BLOCK_ROWS`` rows it is a one-level TSQR (Demmel, Grigori,
+    Hoemmen and Langou 2012): a Householder QR of each row block, one of the
+    stacked R factors, and each block's Q times its slice of that small Q.
+    The span is the same; the columns may differ from ``np.linalg.qr``'s by
+    sign and rounding.
+    """
+    m, n = a.shape
+    if m <= QR_BLOCK_ROWS:
+        return np.linalg.qr(a)[0]
+    blocks = [
+        np.linalg.qr(a[lo : lo + QR_BLOCK_ROWS]) for lo in range(0, m, QR_BLOCK_ROWS)
+    ]
+    q_r, _ = np.linalg.qr(np.concatenate([r for _, r in blocks]))
+    q = np.empty((m, q_r.shape[1]))
+    row = col = 0
+    for q_b, _ in blocks:
+        np.matmul(q_b, q_r[col : col + q_b.shape[1]], out=q[row : row + q_b.shape[0]])
+        row += q_b.shape[0]
+        col += q_b.shape[1]
+    return q
+
+
 def spectral_embed(y, r, seed=0, dense_cutoff=512) -> SpectralEmbedding:
     """Truncated SVD embedding Z_emb = U_r Sigma_r of the smoothed features.
 
@@ -80,7 +109,7 @@ def spectral_embed(y, r, seed=0, dense_cutoff=512) -> SpectralEmbedding:
         probe = rng.standard_normal((d, min(d, r + 8)))
         q = y @ probe
         for _ in range(2):
-            q, _ = np.linalg.qr(y @ (y.T @ q))
+            q = _orthonormal_basis(y @ (y.T @ q))
         b = q.T @ y
         ub, s, vt = np.linalg.svd(b, full_matrices=False)
         u = q @ ub
@@ -229,10 +258,17 @@ def _absorb(log_k, pot, scale, prod, log_marg, other):
     pot = pot + np.log(scale)
     starved = ~(prod >= _TINY)
     if starved.any():
-        pot[starved] = log_marg[starved] - logsumexp(
-            log_k[starved] + other[None, :], axis=1
+        pot[starved] = log_marg[starved] - _logsumexp_rows(
+            log_k[starved] + other[None, :]
         )
     return pot
+
+
+def _logsumexp_rows(a):
+    """log(sum(exp(a), axis=1)), each row shifted by its finite maximum."""
+    top = a.max(axis=1)
+    top[~np.isfinite(top)] = 0.0
+    return np.log(np.exp(a - top[:, None]).sum(axis=1)) + top
 
 
 def soft_pool(plan: TransportPlan, tokens: TokenMatrix) -> TokenMatrix:

@@ -158,6 +158,7 @@ def run_pipeline(
         y = merger.smooth_features(a_hat, s)
         rank = min(cfg.svd_rank, m, cfg.width)
         emb = merger.spectral_embed(y, rank, seed=cfg.seed)
+        del y  # one (M, d) array less at the merge stage's peak
         z = emb.z_emb
         if rank < cfg.svd_rank:  # keep the projection fan-in fixed
             z = np.pad(z, ((0, 0), (0, cfg.svd_rank - rank)))

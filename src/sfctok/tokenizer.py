@@ -9,11 +9,12 @@ point. Also hosts the voxel fallback segmenter.
 
 The point rows are never held in full. ``superpoint_pool`` sorts the points
 by label once and streams them in chunks of about ``CHUNK_POINTS`` points
-that hold whole superpoints; each chunk's rows are made, averaged into one
-(M, h+d) array and dropped. Memory is O(M (h+d) + chunk (h+d)), not
-O(N (h+d)). Each mean adds its rows in ascending point order, as one
-product over all points would, and the embedding box comes from the whole
-cloud, so the tokens do not depend on the chunking.
+that hold whole superpoints; each chunk's rows are made in one reused
+buffer and summed per superpoint into one (M, h+d) array, divided by the
+counts at the end. Memory is O(M (h+d) + chunk (h+d)), not O(N (h+d)).
+Each mean adds its rows in ascending point order, as one product over all
+points would, and the embedding box comes from the whole cloud, so the
+tokens do not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .core import (
     PointCloud,
@@ -29,7 +31,6 @@ from .core import (
     TokenMatrix,
     build_partition,
     label_counts,
-    segment_mean,
     stable_order,
 )
 from .errors import ConfigError, ShapeMismatch, WidthTooSmall
@@ -124,7 +125,7 @@ def _octave_sincos(u, n_freqs):
     return work.reshape(2, 3, -1, u.shape[1])[:, :, :n_freqs]
 
 
-def fourier_embed(positions, cfg: FourierEmbedConfig, box=None):
+def fourier_embed(positions, cfg: FourierEmbedConfig, box=None, out=None):
     """K x d sin/cos features of box-relative coordinates, bounded in [-1, 1].
 
     Column ``a*F + k`` holds sin(t * 2^k) of axis a, with t = fl(2 pi u)
@@ -146,6 +147,10 @@ def fourier_embed(positions, cfg: FourierEmbedConfig, box=None):
 
     The reduced phase is off by ~1e-15 and each doubling doubles that, so
     the values stay within ~1e-14 of sin/cos of t * 2^k evaluated directly.
+
+    ``out``, if given, is a float64 K x d array (it may be a column slice of
+    a wider one) that receives the columns and the zero padding, and is
+    returned.
     """
     if cfg.d < 6:
         raise WidthTooSmall(f"embedding width {cfg.d} < 6")
@@ -153,7 +158,10 @@ def fourier_embed(positions, cfg: FourierEmbedConfig, box=None):
         box = bounding_box(positions)
     u = _box_normalize(positions, box)  # (K, 3)
     k_pts, n_freqs = u.shape[0], cfg.num_freqs
-    out = np.zeros((k_pts, cfg.d))
+    if out is None:
+        out = np.empty((k_pts, cfg.d))
+    out[:, 6 * n_freqs :] = 0.0
+    # splitting the column axis is always a view, even of a column slice
     used = out[:, : 6 * n_freqs].reshape(k_pts, 2, 3, n_freqs)
     used.transpose(1, 2, 3, 0)[...] = _octave_sincos(np.ascontiguousarray(u.T), n_freqs)
     return out
@@ -183,20 +191,24 @@ def _split_head(weights: SeededWeights):
 
 
 def point_tokens(
-    cloud: PointCloud, weights: SeededWeights, cfg: FourierEmbedConfig, box=None
+    cloud: PointCloud,
+    weights: SeededWeights,
+    cfg: FourierEmbedConfig,
+    box=None,
+    out=None,
 ):
     """K x (h+d) point rows: the MLP's last hidden layer, then FourierEmbed.
 
     The hidden part is ReLU(every layer but the last) of the features, h wide
     (the raw features for a one-layer MLP). ``superpoint_pool`` applies the
-    last layer after the mean. ``box`` is passed on to ``fourier_embed``.
+    last layer after the mean. ``box`` is passed on to ``fourier_embed``,
+    which writes the embedding straight into the rows. ``out``, if given, is
+    a float64 K x (h+d) array that receives the rows and is returned.
     """
     hidden, head = _split_head(weights)
     h = head.shapes[0][0]
-    coor = fourier_embed(cloud.positions, cfg, box)
-    x0 = np.empty((coor.shape[0], h + coor.shape[1]))
-    x0[:, h:] = coor
-    del coor  # free the embedding before the hidden layer allocates its rows
+    x0 = out if out is not None else np.empty((cloud.n_points, h + cfg.d))
+    fourier_embed(cloud.positions, cfg, box, out=x0[:, h:])
     feat = mlp_project(cloud.features, hidden)
     if feat.shape[1] != h:
         raise ShapeMismatch(f"last layer fan-in {h} != hidden width {feat.shape[1]}")
@@ -238,33 +250,44 @@ def superpoint_pool(
 
     The points are sorted by label once and streamed in chunks of whole
     superpoints. Each chunk's ``point_tokens`` rows (with the whole cloud's
-    box) are averaged per label into one (M, h+d) array; then the MLP's last
-    layer runs over the h hidden columns of each mean, plus the mean of the
-    embedding columns. Every point goes through ``point_tokens`` once.
+    box, written into one reused buffer) are summed per label into one
+    (M, h+d) array, by a membership matrix built from the label run starts,
+    and divided by the counts once; then the MLP's last layer runs over the h
+    hidden columns of each mean, plus the mean of the embedding columns.
+    Every point goes through ``point_tokens`` once.
     """
     _, head = _split_head(weights)
     h, d = head.shapes[0]
     if d != cfg.d:
         raise ShapeMismatch(f"last layer fan-out {d} != embedding width {cfg.d}")
     labels = np.asarray(part.labels, dtype=np.int64)
-    counts = label_counts(labels, part.n_superpoints)
+    m = part.n_superpoints
+    counts = label_counts(labels, m)
     n_sentinel = labels.shape[0] - int(counts.sum())
     # sentinels (-1) first; labels + 1 <= M
-    order = stable_order([(labels + 1, part.n_superpoints.bit_length())])
+    order = stable_order([(labels + 1, m.bit_length())])
     sorted_labels = labels[order]
+    # label l's points are sorted positions starts[l] .. starts[l + 1] - 1
+    starts = np.concatenate(([0], np.cumsum(counts))) + n_sentinel
     box = bounding_box(cloud.positions)
-    pooled = np.empty((part.n_superpoints, h + d))
-    for lo, hi in _chunks(sorted_labels, n_sentinel):
+    spans = list(_chunks(sorted_labels, n_sentinel))
+    buf = np.empty((max((hi - lo for lo, hi in spans), default=0), h + d))
+    pooled = np.empty((m, h + d))
+    for lo, hi in spans:
         idx = order[lo:hi]
         chunk = PointCloud(positions=cloud.positions[idx], features=cloud.features[idx])
-        rows = point_tokens(chunk, weights, cfg, box)
-        skip = max(n_sentinel - lo, 0)
-        if skip < hi - lo:
-            lab = sorted_labels[lo + skip : hi]
-            first, last = lab[0], lab[-1]
-            means, _ = segment_mean(lab - first, last + 1 - first, rows[skip:])
-            pooled[first : last + 1] = means
-        del chunk, rows  # free this chunk's rows before the next are made
+        rows = point_tokens(chunk, weights, cfg, box, buf[: hi - lo])
+        lo_valid = max(lo, n_sentinel)
+        if lo_valid < hi:
+            first, last = sorted_labels[lo_valid], sorted_labels[hi - 1]
+            n = hi - lo_valid
+            # each superpoint's row sums its points in ascending point order
+            member = sp.csr_matrix(
+                (np.ones(n), np.arange(n), starts[first : last + 2] - lo_valid),
+                shape=(last + 1 - first, n),
+            )
+            pooled[first : last + 1] = member @ rows[lo_valid - lo :]
+    pooled /= counts[:, None]
     feats = mlp_project(pooled[:, :h], head)
     feats += pooled[:, h:]
     return TokenMatrix(feats=feats, centers=part.centers)

@@ -1,10 +1,14 @@
 """End-to-end command line and pipeline tests on small synthetic scenes."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sfctok
 from sfctok.cli import main
 from sfctok.config import PipelineConfig
 from sfctok.core import build_partition
@@ -297,3 +301,19 @@ class TestCli:
     def test_missing_file_reports_error(self, tmp_path, capsys):
         rc = main(["inspect", str(tmp_path / "nope.tok")])
         assert rc != 0 or capsys.readouterr().err
+
+
+def test_import_loads_no_scipy_special_or_linalg():
+    # every process that tokenizes pays for what the package imports
+    code = (
+        "import sys, sfctok.pipeline, sfctok.io, sfctok.gfm, sfctok.cli; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy.'))))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sfctok.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "scipy.sparse" in loaded  # the probe sees scipy's submodules
+    for heavy in ("scipy.special", "scipy.linalg"):
+        assert heavy not in loaded

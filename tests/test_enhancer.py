@@ -11,7 +11,7 @@ from sfctok.enhancer import (
     squared_hann,
     windowed_mix,
 )
-from sfctok.errors import ConfigError, CurveLengthMismatch
+from sfctok.errors import ConfigError, CurveLengthMismatch, CurveNotPermutation
 from sfctok.sfc import serialize_all
 
 
@@ -213,11 +213,71 @@ class TestEnhance:
         with pytest.raises(CurveLengthMismatch):
             enhance(s, identity_cfg(curves=(bad_curve,)))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda p: np.where(p == 5, 6, p),
+            lambda p: np.where(p == 5, 200, p),
+            lambda p: np.where(p == 5, -1, p),
+            lambda p: p.astype(np.float64),
+        ],
+        ids=["duplicate", "past_the_end", "negative", "float"],
+    )
+    def test_curve_not_a_permutation(self, rng, bad):
+        # the second curve names token 6 twice and token 5 never, names a
+        # token that does not exist, or is not integer: no token may read
+        # unset memory
+        s = self.make_tokens(rng, k=200)
+        curves = tuple(serialize_all(s.centers, b=8))
+        curves = (curves[0], bad(curves[1]), curves[2])
+        with pytest.raises(CurveNotPermutation, match="curve 1 is not a permutation"):
+            enhance(s, identity_cfg(curves=curves))
+        assert issubclass(CurveNotPermutation, CurveLengthMismatch)
+
     def test_centers_unchanged(self, rng):
         s = self.make_tokens(rng)
         curves = tuple(serialize_all(s.centers, b=8))
         out = enhance(s, identity_cfg(curves=curves))
         assert np.array_equal(out.centers, s.centers)
+
+
+def naive_enhance(feats, cfg):
+    """Residual enhancement with a fresh gather, mix and scatter per curve."""
+    k = feats.shape[0]
+    mixed_sum = np.zeros((k, feats.shape[1]))
+    for perm in cfg.curves:
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(k)
+        mixed_sum += windowed_mix(feats[perm], cfg)[inv]
+    return feats + mixed_sum / len(cfg.curves)
+
+
+class TestEnhanceOracle:
+    """Reused buffers against fresh arrays per curve, bit for bit."""
+
+    # window 16, stride 4: the banded path needs span = 12 + 16 = 28 rows
+    CFG = dict(window=16, stride=4, gate=lowpass_gate(16, 3))
+
+    @pytest.mark.parametrize("fortran_order", [False, True])
+    @pytest.mark.parametrize("n_curves", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [10, 27, 28, 29, 101])
+    def test_matches_fresh_arrays(self, rng, k, n_curves, fortran_order):
+        feats = rng.normal(size=(k, 6))
+        if fortran_order:
+            feats = np.asfortranarray(feats)
+        centers = rng.uniform(size=(k, 3))
+        curves = tuple(serialize_all(centers, b=8))[:n_curves]
+        cfg = EnhancerConfig(curves=curves, **self.CFG)
+        got = enhance(TokenMatrix(feats=feats, centers=centers), cfg).feats
+        assert np.array_equal(got, naive_enhance(feats, cfg))
+
+    @pytest.mark.parametrize("k", [10, 27, 28, 29, 101])
+    def test_windowed_mix_into_out(self, rng, k):
+        seq = rng.normal(size=(k, 5))
+        cfg = EnhancerConfig(**self.CFG)
+        out = np.full((k, 5), np.nan)
+        assert windowed_mix(seq, cfg, out=out) is out
+        assert np.array_equal(out, windowed_mix(seq, cfg))
 
 
 class TestConfigErrors:

@@ -76,6 +76,37 @@ class TestWindowVote:
         assert candidate_pair_count(n, r, w) <= bound
 
 
+def per_delta_votes(labels, curves, stride, radius):
+    """(src, dst) records from one pass per curve and window offset."""
+    n = labels.shape[0]
+    anchors = np.arange(0, n, stride)
+    src, dst = [], []
+    for perm in curves:
+        for delta in [d for d in range(-radius, radius + 1) if d != 0]:
+            for a in anchors:
+                if 0 <= a + delta < n:
+                    s, t = labels[perm[a]], labels[perm[a + delta]]
+                    if s != -1 and t != -1 and s != t:
+                        src.append(s)
+                        dst.append(t)
+    return src, dst
+
+
+class TestWindowVoteOracle:
+    """Records in curve, then offset, then anchor order, as one loop casts them."""
+
+    @pytest.mark.parametrize(
+        "n, stride, radius", [(1, 1, 1), (7, 3, 10), (200, 4, 6), (333, 16, 32)]
+    )
+    def test_matches_per_delta_loop(self, rng, n, stride, radius):
+        labels = rng.integers(-1, 12, size=n)
+        curves = serialize_all(rng.uniform(size=(n, 3)), b=8)
+        votes = window_vote(labels, curves, stride, radius)
+        src, dst = per_delta_votes(labels, curves, stride, radius)
+        assert votes.src.tolist() == src and votes.dst.tolist() == dst
+        assert votes.src.dtype == votes.dst.dtype == np.int64
+
+
 def dict_coalesce(edges):
     """Naive oracle: sum votes per (src, dst) in a dict, sort the pairs."""
     acc = {}

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfctok.core import SeededWeights, TokenMatrix, seeded_init
 from sfctok.errors import ConfigError, DimensionMismatch, InvalidMarginals, RankTooLarge
+from sfctok import merger
 from sfctok.merger import (
+    QR_BLOCK_ROWS,
+    _logsumexp_rows,
+    _orthonormal_basis,
     importance_scores,
     project_logits,
     sinkhorn,
@@ -96,6 +101,74 @@ class TestSpectralEmbed:
     def test_rank_too_large(self, rng):
         with pytest.raises(RankTooLarge):
             spectral_embed(rng.normal(size=(10, 4)), r=5)
+
+
+def qr_case(case, rng, n=24):
+    """A tall input for the blocked basis, named by its row count or shape."""
+    rows = {
+        "one_block": QR_BLOCK_ROWS,
+        "block_plus_one": QR_BLOCK_ROWS + 1,
+        "ragged": 2 * QR_BLOCK_ROWS + 357,
+        "rank_deficient": 3 * QR_BLOCK_ROWS,
+        "zero": 2 * QR_BLOCK_ROWS + 5,
+        "short": 40,
+    }[case]
+    if case == "rank_deficient":  # rank 7 of 24, and an exactly repeated column
+        a = rng.normal(size=(rows, 7)) @ rng.normal(size=(7, n))
+        a[:, 3] = a[:, 5]
+        return a
+    if case == "zero":
+        return np.zeros((rows, n))
+    return rng.normal(size=(rows, n)) * np.logspace(0, -8, n)
+
+
+class TestOrthonormalBasis:
+    """The blocked (TSQR) basis against ``np.linalg.qr``."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["short", "one_block", "block_plus_one", "ragged", "rank_deficient", "zero"],
+    )
+    def test_matches_householder_span(self, rng, case):
+        a = qr_case(case, rng)
+        q = _orthonormal_basis(a)
+        assert q.shape == a.shape
+        assert np.linalg.norm(q.T @ q - np.eye(a.shape[1]), 2) <= 1e-13
+        # both bases hold the input's range: ||(I - Q Q^T) U||_2 is the sine
+        # of the largest angle between that range and span(Q), so at full
+        # rank it is the gap between the projectors Q Q^T and Q0 Q0^T
+        u, s, _ = np.linalg.svd(a, full_matrices=False)
+        u = u[:, s > 1e-10 * max(s[0], 1e-300)]
+        for basis in (q, np.linalg.qr(a)[0]):
+            assert np.linalg.norm(u - basis @ (basis.T @ u), 2) <= 1e-12
+
+    def test_one_block_is_householder(self, rng):
+        a = qr_case("one_block", rng)
+        assert np.array_equal(_orthonormal_basis(a), np.linalg.qr(a)[0])
+
+    def test_embedding_moves_at_rounding_level(self, rng, monkeypatch):
+        # a spectrum with distinct singular values, above one block
+        y = rng.normal(size=(3 * QR_BLOCK_ROWS + 11, 32)) * np.logspace(0, -2, 32)
+        got = spectral_embed(y, r=8, dense_cutoff=256)
+        monkeypatch.setattr(merger, "_orthonormal_basis", lambda a: np.linalg.qr(a)[0])
+        want = spectral_embed(y, r=8, dense_cutoff=256)
+        assert np.abs(got.z_emb - want.z_emb).max() <= 1e-12 * np.abs(want.z_emb).max()
+
+
+class TestLogSumExp:
+    def test_matches_scipy(self, rng):
+        a = rng.normal(scale=300.0, size=(40, 17)) - 400.0
+        a[3, :5] = -np.inf
+        a[7] = -np.inf  # a row with no mass
+        a[9, 2] = 700.0  # exp would overflow without the shift
+        with np.errstate(divide="ignore"):  # log 0 on the massless row
+            got = _logsumexp_rows(a)
+        want = scipy.special.logsumexp(a, axis=1)
+        assert np.isneginf(got[7]) and np.isneginf(want[7])
+        finite = np.isfinite(want)
+        assert finite.sum() == 39
+        err = np.abs(got[finite] - want[finite])
+        assert (err <= 1e-14 * np.abs(want[finite])).all()
 
 
 class TestImportance:

@@ -118,6 +118,18 @@ class TestFourierEmbedOracle:
         assert np.array_equal(got[:, 6 * (d // 6) :], want[:, 6 * (d // 6) :])
 
 
+class TestFourierEmbedOut:
+    @pytest.mark.parametrize("d", [6, 26, 256])
+    def test_out_column_slice_equals_returned_form(self, rng, d):
+        pos, box = oracle_case("chunk_of_cloud", rng)
+        wide = np.full((pos.shape[0], d + 9), np.nan)
+        out = wide[:, 5 : 5 + d]  # strided rows, padding columns left as NaN
+        got = fourier_embed(pos, FourierEmbedConfig(d=d), box, out=out)
+        assert got is out
+        assert np.array_equal(out, fourier_embed(pos, FourierEmbedConfig(d=d), box))
+        assert np.isnan(wide[:, :5]).all() and np.isnan(wide[:, 5 + d :]).all()
+
+
 class TestMlpProject:
     def test_zero_weights_zero_output(self, rng):
         w = zero_weights([(3, 8), (8, 8)])
@@ -181,6 +193,16 @@ class TestPointTokens:
         pooled = superpoint_pool(cloud, build_partition(labels, cloud.positions), w, CFG)
         for lab in range(4):
             assert np.allclose(pooled.feats[lab], emb[labels == lab].mean(axis=0))
+
+    def test_out_buffer_holds_the_rows(self, rng):
+        cloud = PointCloud(
+            positions=rng.uniform(size=(17, 3)), features=rng.normal(size=(17, 3))
+        )
+        for shapes in ([(3, 24)], [(3, 40), (40, 24)]):
+            w = seeded_init(0, shapes)
+            out = np.full((17, shapes[-1][0] + 24), np.nan)
+            assert point_tokens(cloud, w, CFG, None, out) is out
+            assert np.array_equal(out, point_tokens(cloud, w, CFG))
 
     def test_row_count(self, rng):
         cloud = PointCloud(
