@@ -68,15 +68,13 @@ QR_BLOCK_ROWS = 1024
 def _orthonormal_basis(a):
     """Orthonormal basis of the columns of a tall ``a``, as ``np.linalg.qr`` gives.
 
-    Above ``QR_BLOCK_ROWS`` rows it is a one-level TSQR (Demmel, Grigori,
-    Hoemmen and Langou 2012): a Householder QR of each row block, one of the
-    stacked R factors, and each block's Q times its slice of that small Q.
-    The span is the same; the columns may differ from ``np.linalg.qr``'s by
-    sign and rounding.
+    A one-level TSQR (Demmel, Grigori, Hoemmen and Langou 2012): a
+    Householder QR of each ``QR_BLOCK_ROWS``-row block, one of the stacked R
+    factors, and each block's Q times its slice of that small Q. The span is
+    the same; the columns may differ from ``np.linalg.qr``'s by sign and
+    rounding.
     """
-    m, n = a.shape
-    if m <= QR_BLOCK_ROWS:
-        return np.linalg.qr(a)[0]
+    m = a.shape[0]
     blocks = [
         np.linalg.qr(a[lo : lo + QR_BLOCK_ROWS]) for lo in range(0, m, QR_BLOCK_ROWS)
     ]

@@ -10,11 +10,10 @@ point. Also hosts the voxel fallback segmenter.
 The point rows are never held in full. ``superpoint_pool`` sorts the points
 by label once and streams them in chunks of about ``CHUNK_POINTS`` points
 that hold whole superpoints; each chunk's rows are made in one reused
-buffer and summed per superpoint into one (M, h+d) array, divided by the
-counts at the end. Memory is O(M (h+d) + chunk (h+d)), not O(N (h+d)).
-Each mean adds its rows in ascending point order, as one product over all
-points would, and the embedding box comes from the whole cloud, so the
-tokens do not depend on the chunking.
+buffer and averaged into one (M, h+d) array. Memory is O(M (h+d) + chunk
+(h+d)), not O(N (h+d)). Each mean adds its rows in ascending point order,
+as one product over all points would, and the embedding box comes from the
+whole cloud, so the tokens do not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (
     PointCloud,
@@ -31,6 +29,7 @@ from .core import (
     TokenMatrix,
     build_partition,
     label_counts,
+    segment_mean,
     stable_order,
 )
 from .errors import ConfigError, ShapeMismatch, WidthTooSmall
@@ -250,44 +249,35 @@ def superpoint_pool(
 
     The points are sorted by label once and streamed in chunks of whole
     superpoints. Each chunk's ``point_tokens`` rows (with the whole cloud's
-    box, written into one reused buffer) are summed per label into one
-    (M, h+d) array, by a membership matrix built from the label run starts,
-    and divided by the counts once; then the MLP's last layer runs over the h
-    hidden columns of each mean, plus the mean of the embedding columns.
-    Every point goes through ``point_tokens`` once.
+    box, written into one reused buffer) are averaged per label into one
+    (M, h+d) array; then the MLP's last layer runs over the h hidden columns
+    of each mean, plus the mean of the embedding columns. Every point goes
+    through ``point_tokens`` once.
     """
     _, head = _split_head(weights)
     h, d = head.shapes[0]
     if d != cfg.d:
         raise ShapeMismatch(f"last layer fan-out {d} != embedding width {cfg.d}")
     labels = np.asarray(part.labels, dtype=np.int64)
-    m = part.n_superpoints
-    counts = label_counts(labels, m)
+    counts = label_counts(labels, part.n_superpoints)
     n_sentinel = labels.shape[0] - int(counts.sum())
     # sentinels (-1) first; labels + 1 <= M
-    order = stable_order([(labels + 1, m.bit_length())])
+    order = stable_order([(labels + 1, part.n_superpoints.bit_length())])
     sorted_labels = labels[order]
-    # label l's points are sorted positions starts[l] .. starts[l + 1] - 1
-    starts = np.concatenate(([0], np.cumsum(counts))) + n_sentinel
     box = bounding_box(cloud.positions)
     spans = list(_chunks(sorted_labels, n_sentinel))
     buf = np.empty((max((hi - lo for lo, hi in spans), default=0), h + d))
-    pooled = np.empty((m, h + d))
+    pooled = np.empty((part.n_superpoints, h + d))
     for lo, hi in spans:
         idx = order[lo:hi]
         chunk = PointCloud(positions=cloud.positions[idx], features=cloud.features[idx])
         rows = point_tokens(chunk, weights, cfg, box, buf[: hi - lo])
-        lo_valid = max(lo, n_sentinel)
-        if lo_valid < hi:
-            first, last = sorted_labels[lo_valid], sorted_labels[hi - 1]
-            n = hi - lo_valid
-            # each superpoint's row sums its points in ascending point order
-            member = sp.csr_matrix(
-                (np.ones(n), np.arange(n), starts[first : last + 2] - lo_valid),
-                shape=(last + 1 - first, n),
-            )
-            pooled[first : last + 1] = member @ rows[lo_valid - lo :]
-    pooled /= counts[:, None]
+        skip = max(n_sentinel - lo, 0)
+        if skip < hi - lo:
+            lab = sorted_labels[lo + skip : hi]
+            first, last = lab[0], lab[-1]
+            means, _ = segment_mean(lab - first, last + 1 - first, rows[skip:])
+            pooled[first : last + 1] = means
     feats = mlp_project(pooled[:, :h], head)
     feats += pooled[:, h:]
     return TokenMatrix(feats=feats, centers=part.centers)

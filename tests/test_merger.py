@@ -142,10 +142,6 @@ class TestOrthonormalBasis:
         for basis in (q, np.linalg.qr(a)[0]):
             assert np.linalg.norm(u - basis @ (basis.T @ u), 2) <= 1e-12
 
-    def test_one_block_is_householder(self, rng):
-        a = qr_case("one_block", rng)
-        assert np.array_equal(_orthonormal_basis(a), np.linalg.qr(a)[0])
-
     def test_embedding_moves_at_rounding_level(self, rng, monkeypatch):
         # a spectrum with distinct singular values, above one block
         y = rng.normal(size=(3 * QR_BLOCK_ROWS + 11, 32)) * np.logspace(0, -2, 32)
