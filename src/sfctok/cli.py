@@ -51,7 +51,7 @@ def _cmd_tokenize(args):
     scene, partition = _load_scene(args, cfg)
     weights = None
     if args.weights:
-        named, _ = io.load_weights(args.weights)
+        named = io.load_weights(args.weights)
         names = [f.name for f in dataclasses.fields(PipelineWeights)]
         missing = [name for name in names if name not in named]
         if missing:

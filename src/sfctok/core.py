@@ -6,7 +6,7 @@ construction and safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -74,16 +74,14 @@ class TokenMatrix:
 
 @dataclass(frozen=True)
 class SeededWeights:
-    """Flat forward-only MLP parameters, a pure function of (seed, shapes).
+    """Flat forward-only MLP parameters.
 
     Per layer of shape (fan_in, fan_out) the flat array stores fan_in*fan_out
-    weight entries (row-major) followed by fan_out bias entries, all drawn
-    uniformly from [-a, a] with a = sqrt(6 / (fan_in + fan_out)).
+    weight entries (row-major) followed by fan_out bias entries.
     """
 
-    seed: int
-    shapes: tuple = field(default=())
-    values: np.ndarray = field(default=None)
+    shapes: tuple  # ((fan_in, fan_out), ...)
+    values: np.ndarray  # (sum of fan_in*fan_out + fan_out,)
 
     def layer(self, i):
         """Return (W, b) for layer i as views into the flat value array."""
@@ -106,8 +104,8 @@ class SeededWeights:
         """(layers before i, layers from i on), each over a view of the values."""
         off = sum(fi * fo + fo for fi, fo in self.shapes[:i])
         return (
-            SeededWeights(self.seed, self.shapes[:i], self.values[:off]),
-            SeededWeights(self.seed, self.shapes[i:], self.values[off:]),
+            SeededWeights(self.shapes[:i], self.values[:off]),
+            SeededWeights(self.shapes[i:], self.values[off:]),
         )
 
 
@@ -143,8 +141,10 @@ def _first_non_finite_row(a):
 def seeded_init(seed: int, shapes) -> SeededWeights:
     """Deterministic Xavier-uniform initialization for a stack of layers.
 
-    Bit-reproducible across runs and platforms for equal (seed, shapes):
-    values come from a PCG64 stream keyed by the seed alone.
+    Every entry of a (fan_in, fan_out) layer is drawn uniformly from [-a, a]
+    with a = sqrt(6 / (fan_in + fan_out)). Bit-reproducible across runs and
+    platforms for equal (seed, shapes): values come from a PCG64 stream keyed
+    by the seed alone.
     """
     shapes = tuple((int(fi), int(fo)) for fi, fo in shapes)
     for fi, fo in shapes:
@@ -156,7 +156,7 @@ def seeded_init(seed: int, shapes) -> SeededWeights:
         a = np.sqrt(6.0 / (fi + fo))
         chunks.append(rng.uniform(-a, a, size=fi * fo + fo))
     values = np.concatenate(chunks) if chunks else np.empty(0)
-    return SeededWeights(seed=seed, shapes=shapes, values=values)
+    return SeededWeights(shapes=shapes, values=values)
 
 
 def stable_order(keys):

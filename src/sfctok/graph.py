@@ -54,7 +54,6 @@ class SparseVoteGraph:
     dst: np.ndarray  # (E,)
     dist2: np.ndarray  # (E,)
     votes: np.ndarray  # (E,)
-    degree: np.ndarray  # (M,)
 
     @property
     def src(self):
@@ -169,7 +168,7 @@ def _ranked(src, dst, votes, centers):
 
 def rerank_topk(batch: VoteBatch, centers, k) -> SparseVoteGraph:
     """Keep the k best candidates per source by (dist^2, -votes, dst), then
-    symmetrize by edge union and compute degrees.
+    symmetrize by edge union.
 
     The union is the elementwise maximum of the kept (src, dst) -> votes
     matrix and its transpose: an edge kept in both directions carries the
@@ -198,19 +197,12 @@ def rerank_topk(batch: VoteBatch, centers, k) -> SparseVoteGraph:
     union = kept.maximum(kept.T)
     union.sum_duplicates()  # canonical: each row's columns ascending, once
 
-    degree = np.diff(union.indptr).astype(np.int64)
-    src = np.repeat(np.arange(m), degree)
+    indptr = union.indptr.astype(np.int64)
+    src = np.repeat(np.arange(m), np.diff(indptr))
     _, dst, votes, dist2 = _ranked(
         src, union.indices.astype(np.int64), union.data, centers
     )
-    return SparseVoteGraph(
-        n_nodes=m,
-        indptr=np.concatenate(([0], np.cumsum(degree))),
-        dst=dst,
-        dist2=dist2,
-        votes=votes,
-        degree=degree,
-    )
+    return SparseVoteGraph(n_nodes=m, indptr=indptr, dst=dst, dist2=dist2, votes=votes)
 
 
 def normalized_adjacency(g: SparseVoteGraph) -> sp.csr_matrix:
@@ -220,7 +212,7 @@ def normalized_adjacency(g: SparseVoteGraph) -> sp.csr_matrix:
     The graph's own (indptr, dst) lists are the CSR structure; sorting each
     row's columns fixes the summation order of products with it.
     """
-    deg = g.degree.astype(np.float64)
+    deg = np.diff(g.indptr).astype(np.float64)
     inv_sqrt = np.zeros_like(deg)
     nz = deg > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])

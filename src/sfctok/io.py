@@ -250,44 +250,32 @@ def read_token_file(path) -> TokenMatrix:
     return TokenMatrix(feats=feats.copy(), centers=centers.reshape(t, 3).copy())
 
 
-def save_weights(path, named_weights, extra_arrays=None):
-    """Persist SeededWeights (flat values + shapes) and plain arrays as .npz."""
+def save_weights(path, named_weights):
+    """Persist SeededWeights as .npz: ``<name>.values`` and ``<name>.shapes``."""
     payload = {}
     for name, w in named_weights.items():
         payload[f"{name}.values"] = w.values
         payload[f"{name}.shapes"] = np.array(w.shapes, dtype=np.int64)
-        payload[f"{name}.seed"] = np.array(w.seed, dtype=np.int64)
-    for name, arr in (extra_arrays or {}).items():
-        payload[name] = np.asarray(arr)
     np.savez(path, **payload)
 
 
 def load_weights(path):
-    """Inverse of save_weights: (dict of SeededWeights, dict of plain arrays).
+    """Inverse of save_weights: a dict of SeededWeights by name.
 
-    Raises ``InvalidWeights`` naming the array when a weight stack's
-    ``.shapes`` or ``.seed`` is missing, its ``.values`` length is not what
-    the shapes need, or its layer shapes do not chain.
+    Every ``<name>.values`` array names a stack; other arrays are ignored.
+    Raises ``InvalidWeights`` naming the array when a stack's ``.shapes``
+    is missing, its ``.values`` length is not what the shapes need, or its
+    layer shapes do not chain.
     """
     data = np.load(path)
-    named = {}
-    extras = {}
     stems = {key.rsplit(".", 1)[0] for key in data.files if key.endswith(".values")}
-    for key in data.files:
-        stem, _, suffix = key.rpartition(".")
-        if stem in stems and suffix in ("values", "shapes", "seed"):
-            continue
-        extras[key] = data[key]
-    for stem in sorted(stems):
-        named[stem] = _weight_stack(data, stem)
-    return named, extras
+    return {stem: _weight_stack(data, stem) for stem in sorted(stems)}
 
 
 def _weight_stack(data, stem):
     """The SeededWeights stored under ``stem``, checked against its shapes."""
-    for suffix in ("shapes", "seed"):
-        if f"{stem}.{suffix}" not in data.files:
-            raise InvalidWeights(f"{stem}.{suffix} is missing")
+    if f"{stem}.shapes" not in data.files:
+        raise InvalidWeights(f"{stem}.shapes is missing")
     shapes = data[f"{stem}.shapes"]
     if shapes.ndim != 2 or shapes.shape[1] != 2 or (shapes < 1).any():
         raise InvalidWeights(f"{stem}.shapes must be rows of positive (fan_in, fan_out)")
@@ -304,4 +292,4 @@ def _weight_stack(data, stem):
         raise InvalidWeights(
             f"{stem}.values has shape {values.shape}; {stem}.shapes need ({expected},)"
         )
-    return SeededWeights(seed=int(data[f"{stem}.seed"]), shapes=shapes, values=values)
+    return SeededWeights(shapes=shapes, values=values)

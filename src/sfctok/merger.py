@@ -88,30 +88,34 @@ def _orthonormal_basis(a):
     return q
 
 
-def spectral_embed(y, r, seed=0, dense_cutoff=512) -> SpectralEmbedding:
+# Inputs up to this many rows take the exact SVD; taller ones the randomized one.
+DENSE_SVD_ROWS = 512
+
+
+def spectral_embed(y, r, seed=0) -> SpectralEmbedding:
     """Truncated SVD embedding Z_emb = U_r Sigma_r of the smoothed features.
 
-    Dense SVD for small inputs; randomized subspace iteration (2 power
-    iterations, oversampling 8) above ``dense_cutoff`` rows. Signs are fixed
-    so the embedding is deterministic.
+    Dense SVD for up to ``DENSE_SVD_ROWS`` rows; above that, the SVD of
+    ``Q^T Y`` for an orthonormal basis Q of Y's range found by randomized
+    subspace iteration (2 power iterations, oversampling 8), with U mapped
+    back through Q. Signs are fixed so the embedding is deterministic.
     """
     y = np.asarray(y, dtype=np.float64)
     m, d = y.shape
     if r > min(m, d):
         raise RankTooLarge(f"rank {r} > min{(m, d)}")
-    if m <= dense_cutoff:
-        u, s, vt = np.linalg.svd(y, full_matrices=False)
-        u, s, vt = u[:, :r], s[:r], vt[:r]
-    else:
+    randomized = m > DENSE_SVD_ROWS
+    if randomized:
         rng = np.random.Generator(np.random.PCG64(seed))
         probe = rng.standard_normal((d, min(d, r + 8)))
         q = y @ probe
         for _ in range(2):
             q = _orthonormal_basis(y @ (y.T @ q))
-        b = q.T @ y
-        ub, s, vt = np.linalg.svd(b, full_matrices=False)
-        u = q @ ub
-        u, s, vt = u[:, :r], s[:r], vt[:r]
+        y = q.T @ y
+    u, s, vt = np.linalg.svd(y, full_matrices=False)
+    u, s, vt = u[:, :r], s[:r], vt[:r]
+    if randomized:
+        u = q @ u
     u, vt = _fix_signs(u, vt)
     return SpectralEmbedding(z_emb=u * s[None, :], singular_values=s, u=u)
 
@@ -164,14 +168,15 @@ def sinkhorn(
     ``g = log nu - LSE_i(logits / tau + f)``.
 
     Sweeps stop when the worst marginal violation drops to ``residual_tol``
-    or after ``max_iters``; ``converged`` reports which. With
-    ``max_iters=0`` the plan is the unscaled kernel ``exp(logits / tau)``.
+    or after ``max_iters`` (at least 1); ``converged`` reports which.
     """
     logits = np.asarray(logits, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     nu = np.asarray(nu, dtype=np.float64)
     if not (np.isfinite(tau) and tau > 0):
         raise ConfigError(f"tau={tau} must be positive and finite")
+    if max_iters < 1:
+        raise ConfigError(f"max_iters={max_iters} must be >= 1")
     if not np.isfinite(logits).all():
         raise NonFiniteKernel("logits contain non-finite entries")
     for name, marg, size in (("mu", mu, logits.shape[0]), ("nu", nu, logits.shape[1])):
@@ -187,10 +192,8 @@ def sinkhorn(
     v = np.ones(nu.shape[0])
     kv = k @ v
 
-    iterations = 0
-    residual = np.inf
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for it in range(max_iters):
+        for iterations in range(1, max_iters + 1):
             u = mu / kv
             if _needs_absorb(u, kv):
                 log_k = logits / tau
@@ -210,16 +213,12 @@ def sinkhorn(
                 v = np.ones(nu.shape[0])
                 ktu = k.T @ u
             kv = k @ v
-            iterations = it + 1
             residual = max(np.abs(u * kv - mu).max(), np.abs(v * ktu - nu).max())
             if residual <= residual_tol:
                 break
-    if iterations == 0:
-        plan = np.exp(logits / tau)
-    else:
-        plan = k
-        plan *= u[:, None]
-        plan *= v[None, :]
+    plan = k
+    plan *= u[:, None]
+    plan *= v[None, :]
     if not np.isfinite(plan).all():
         raise NonFiniteKernel("transport plan overflowed")
     return TransportPlan(

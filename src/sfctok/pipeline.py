@@ -135,8 +135,7 @@ def run_pipeline(
         )
 
     with _Stage("tokenize", timings):
-        embed_cfg = tokenizer.FourierEmbedConfig(d=cfg.width)
-        s = tokenizer.superpoint_pool(scene, partition, weights.point_mlp, embed_cfg)
+        s = tokenizer.superpoint_pool(scene, partition, weights.point_mlp, cfg.width)
 
     with _Stage("enhance", timings):
         token_curves = sfc.serialize_all(partition.centers, b=cfg.bits)

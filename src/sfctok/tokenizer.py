@@ -18,8 +18,6 @@ whole cloud, so the tokens do not depend on the chunking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -49,21 +47,6 @@ TWO_PI_TAIL = 2.4492935982947064e-16  # 2 pi - TWO_PI, rounded to float64
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for Dekker's product
 _TWO_PI_HI = _SPLIT * TWO_PI - (_SPLIT * TWO_PI - TWO_PI)
 _TWO_PI_LO = TWO_PI - _TWO_PI_HI
-
-
-@dataclass(frozen=True)
-class FourierEmbedConfig:
-    """Octave frequency bands 2^0 .. 2^{num_freqs-1} per axis.
-
-    Output width d holds sin/cos pairs over 3 axes (6 entries per band);
-    the remainder beyond 6*num_freqs is zero-padded.
-    """
-
-    d: int
-
-    @property
-    def num_freqs(self):
-        return self.d // 6
 
 
 def bounding_box(positions):
@@ -124,12 +107,13 @@ def _octave_sincos(u, n_freqs):
     return work.reshape(2, 3, -1, u.shape[1])[:, :, :n_freqs]
 
 
-def fourier_embed(positions, cfg: FourierEmbedConfig, box=None, out=None):
+def fourier_embed(positions, d, box=None, out=None):
     """K x d sin/cos features of box-relative coordinates, bounded in [-1, 1].
 
-    Column ``a*F + k`` holds sin(t * 2^k) of axis a, with t = fl(2 pi u)
-    for the box-normalized coordinate u; the next 3F columns hold the
-    cosines, then zero padding. The box defaults to the input's own
+    There are F = d // 6 octave bands 2^0 .. 2^{F-1} per axis. Column
+    ``a*F + k`` holds sin(t * 2^k) of axis a, with t = fl(2 pi u) for the
+    box-normalized coordinate u; the next 3F columns hold the cosines, then
+    zero padding up to d. The box defaults to the input's own
     extrema, which makes the embedding translation invariant. Points
     embedded in chunks take the whole cloud's ``bounding_box``, so each row
     is the one the whole cloud would give.
@@ -151,14 +135,14 @@ def fourier_embed(positions, cfg: FourierEmbedConfig, box=None, out=None):
     a wider one) that receives the columns and the zero padding, and is
     returned.
     """
-    if cfg.d < 6:
-        raise WidthTooSmall(f"embedding width {cfg.d} < 6")
+    if d < 6:
+        raise WidthTooSmall(f"embedding width {d} < 6")
     if box is None:
         box = bounding_box(positions)
     u = _box_normalize(positions, box)  # (K, 3)
-    k_pts, n_freqs = u.shape[0], cfg.num_freqs
+    k_pts, n_freqs = u.shape[0], d // 6
     if out is None:
-        out = np.empty((k_pts, cfg.d))
+        out = np.empty((k_pts, d))
     out[:, 6 * n_freqs :] = 0.0
     # splitting the column axis is always a view, even of a column slice
     used = out[:, : 6 * n_freqs].reshape(k_pts, 2, 3, n_freqs)
@@ -189,14 +173,9 @@ def _split_head(weights: SeededWeights):
     return weights.split(-1)
 
 
-def point_tokens(
-    cloud: PointCloud,
-    weights: SeededWeights,
-    cfg: FourierEmbedConfig,
-    box=None,
-    out=None,
-):
-    """K x (h+d) point rows: the MLP's last hidden layer, then FourierEmbed.
+def point_tokens(cloud: PointCloud, weights: SeededWeights, d, box=None, out=None):
+    """K x (h+d) point rows: the MLP's last hidden layer, then the d-wide
+    ``fourier_embed``.
 
     The hidden part is ReLU(every layer but the last) of the features, h wide
     (the raw features for a one-layer MLP). ``superpoint_pool`` applies the
@@ -206,8 +185,8 @@ def point_tokens(
     """
     hidden, head = _split_head(weights)
     h = head.shapes[0][0]
-    x0 = out if out is not None else np.empty((cloud.n_points, h + cfg.d))
-    fourier_embed(cloud.positions, cfg, box, out=x0[:, h:])
+    x0 = out if out is not None else np.empty((cloud.n_points, h + d))
+    fourier_embed(cloud.positions, d, box, out=x0[:, h:])
     feat = mlp_project(cloud.features, hidden)
     if feat.shape[1] != h:
         raise ShapeMismatch(f"last layer fan-in {h} != hidden width {feat.shape[1]}")
@@ -240,12 +219,9 @@ def _chunks(sorted_labels, n_sentinel):
 
 
 def superpoint_pool(
-    cloud: PointCloud,
-    part: SuperpointPartition,
-    weights: SeededWeights,
-    cfg: FourierEmbedConfig,
+    cloud: PointCloud, part: SuperpointPartition, weights: SeededWeights, width
 ) -> TokenMatrix:
-    """Superpoint tokens of ``cloud``; sentinel points are excluded.
+    """``width``-wide superpoint tokens of ``cloud``; sentinel points are excluded.
 
     The points are sorted by label once and streamed in chunks of whole
     superpoints. Each chunk's ``point_tokens`` rows (with the whole cloud's
@@ -256,8 +232,8 @@ def superpoint_pool(
     """
     _, head = _split_head(weights)
     h, d = head.shapes[0]
-    if d != cfg.d:
-        raise ShapeMismatch(f"last layer fan-out {d} != embedding width {cfg.d}")
+    if d != width:
+        raise ShapeMismatch(f"last layer fan-out {d} != embedding width {width}")
     labels = np.asarray(part.labels, dtype=np.int64)
     counts = label_counts(labels, part.n_superpoints)
     n_sentinel = labels.shape[0] - int(counts.sum())
@@ -271,7 +247,7 @@ def superpoint_pool(
     for lo, hi in spans:
         idx = order[lo:hi]
         chunk = PointCloud(positions=cloud.positions[idx], features=cloud.features[idx])
-        rows = point_tokens(chunk, weights, cfg, box, buf[: hi - lo])
+        rows = point_tokens(chunk, weights, d, box, buf[: hi - lo])
         skip = max(n_sentinel - lo, 0)
         if skip < hi - lo:
             lab = sorted_labels[lo + skip : hi]

@@ -271,13 +271,32 @@ class TestWeights:
         a = seeded_init(3, [(4, 8), (8, 1)])
         b = seeded_init(9, [(2, 2)])
         path = tmp_path / "w.npz"
-        save_weights(path, {"alpha": a, "beta": b}, extra_arrays={"gamma": np.eye(2)})
-        named, extras = load_weights(path)
+        save_weights(path, {"alpha": a, "beta": b})
+        assert set(np.load(path).files) == {
+            "alpha.values", "alpha.shapes", "beta.values", "beta.shapes"
+        }
+        named = load_weights(path)
         assert set(named) == {"alpha", "beta"}
-        assert named["alpha"].seed == 3
         assert named["alpha"].shapes == ((4, 8), (8, 1))
         assert np.array_equal(named["alpha"].values, a.values)
-        assert np.array_equal(extras["gamma"], np.eye(2))
+        assert np.array_equal(named["beta"].values, b.values)
+
+    @pytest.mark.parametrize("seed", [np.array(3), np.array([3, 4])])
+    def test_seed_and_other_arrays_ignored(self, tmp_path, seed):
+        # files written with a per-stack ``.seed`` (of any shape) and arrays
+        # that name no stack still load
+        a = seeded_init(3, [(4, 8), (8, 1)])
+        path = tmp_path / "w.npz"
+        np.savez(path, **{
+            "alpha.values": a.values,
+            "alpha.shapes": np.array(a.shapes),
+            "alpha.seed": seed,
+            "gamma": np.eye(2),
+        })
+        named = load_weights(path)
+        assert set(named) == {"alpha"}
+        assert named["alpha"].shapes == a.shapes
+        assert np.array_equal(named["alpha"].values, a.values)
 
     def test_values_length_rejected(self, tmp_path):
         a = seeded_init(3, [(4, 8), (8, 1)])

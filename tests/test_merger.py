@@ -10,7 +10,9 @@ from sfctok.core import SeededWeights, TokenMatrix, seeded_init
 from sfctok.errors import ConfigError, DimensionMismatch, InvalidMarginals, RankTooLarge
 from sfctok import merger
 from sfctok.merger import (
+    DENSE_SVD_ROWS,
     QR_BLOCK_ROWS,
+    _fix_signs,
     _logsumexp_rows,
     _orthonormal_basis,
     importance_scores,
@@ -70,13 +72,16 @@ class TestSpectralEmbed:
         assert np.allclose(np.abs(emb.u), np.abs(u[:, :5]), atol=1e-8)
 
     def test_randomized_matches_dense(self, rng):
-        # low-rank plus small noise so the truncation is well conditioned
+        # low-rank plus small noise so the truncation is well conditioned;
+        # 600 rows take the randomized path
         y = rng.normal(size=(600, 10)) @ rng.normal(size=(10, 40))
         y += 1e-9 * rng.normal(size=y.shape)
-        small = spectral_embed(y, r=8, dense_cutoff=1024)
-        large = spectral_embed(y, r=8, dense_cutoff=256)
-        assert np.allclose(small.singular_values, large.singular_values, rtol=1e-8)
-        assert np.allclose(small.z_emb, large.z_emb, atol=1e-6)
+        assert y.shape[0] > DENSE_SVD_ROWS
+        got = spectral_embed(y, r=8)
+        u, s, vt = np.linalg.svd(y, full_matrices=False)
+        u, _ = _fix_signs(u[:, :8], vt[:8])
+        assert np.allclose(got.singular_values, s[:8], rtol=1e-8)
+        assert np.allclose(got.z_emb, u * s[:8], atol=1e-6)
 
     def test_orthonormal_columns(self, rng):
         emb = spectral_embed(rng.normal(size=(40, 16)), r=6)
@@ -94,8 +99,8 @@ class TestSpectralEmbed:
 
     def test_deterministic(self, rng):
         y = rng.normal(size=(700, 20))
-        a = spectral_embed(y, r=4, seed=3, dense_cutoff=256)
-        b = spectral_embed(y, r=4, seed=3, dense_cutoff=256)
+        a = spectral_embed(y, r=4, seed=3)
+        b = spectral_embed(y, r=4, seed=3)
         assert np.array_equal(a.z_emb, b.z_emb)
 
     def test_rank_too_large(self, rng):
@@ -145,9 +150,9 @@ class TestOrthonormalBasis:
     def test_embedding_moves_at_rounding_level(self, rng, monkeypatch):
         # a spectrum with distinct singular values, above one block
         y = rng.normal(size=(3 * QR_BLOCK_ROWS + 11, 32)) * np.logspace(0, -2, 32)
-        got = spectral_embed(y, r=8, dense_cutoff=256)
+        got = spectral_embed(y, r=8)
         monkeypatch.setattr(merger, "_orthonormal_basis", lambda a: np.linalg.qr(a)[0])
-        want = spectral_embed(y, r=8, dense_cutoff=256)
+        want = spectral_embed(y, r=8)
         assert np.abs(got.z_emb - want.z_emb).max() <= 1e-12 * np.abs(want.z_emb).max()
 
 
@@ -170,8 +175,7 @@ class TestLogSumExp:
 class TestImportance:
     def test_uniform_for_zero_weights(self, rng):
         s = make_tokens(rng, m=12, d=6)
-        w = SeededWeights(seed=0, shapes=((6, 3), (3, 1)),
-                         values=np.zeros(6 * 3 + 3 + 3 * 1 + 1))
+        w = SeededWeights(shapes=((6, 3), (3, 1)), values=np.zeros(6 * 3 + 3 + 3 * 1 + 1))
         mu = importance_scores(s, w)
         assert np.allclose(mu, np.full(12, 1 / 12))
 
@@ -264,14 +268,13 @@ class TestSinkhorn:
         capped = sinkhorn(logits, mu, nu, tau=0.05, max_iters=2, residual_tol=1e-9)
         assert capped.iterations == 2
         assert not capped.converged and capped.residual > 1e-9
-        assert not sinkhorn(logits, mu, nu, tau=0.05, max_iters=0).converged
 
-    def test_zero_iterations_returns_kernel(self, rng):
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_zero_iterations_is_config_error(self, rng, max_iters):
         logits = rng.normal(size=(7, 3))
-        plan = sinkhorn(logits, np.full(7, 1 / 7), np.full(3, 1 / 3), tau=0.5,
-                        max_iters=0)
-        assert plan.iterations == 0 and plan.residual == np.inf
-        assert np.array_equal(plan.plan, np.exp(logits / 0.5))
+        with pytest.raises(ConfigError, match="max_iters"):
+            sinkhorn(logits, np.full(7, 1 / 7), np.full(3, 1 / 3), tau=0.5,
+                     max_iters=max_iters)
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf, -np.inf])
     def test_bad_tau_is_config_error(self, tau):

@@ -17,7 +17,6 @@ from sfctok.errors import ConfigError, EmptySuperpoint, ShapeMismatch, WidthTooS
 from sfctok.synth import make_scene
 from sfctok.tokenizer import (
     CHUNK_POINTS,
-    FourierEmbedConfig,
     _chunks,
     bounding_box,
     fourier_embed,
@@ -27,47 +26,47 @@ from sfctok.tokenizer import (
     voxel_superpoints,
 )
 
-CFG = FourierEmbedConfig(d=24)
+D = 24  # embedding width
 
 
 def zero_weights(shapes):
     w = seeded_init(0, shapes)
-    return SeededWeights(seed=0, shapes=w.shapes, values=np.zeros_like(w.values))
+    return SeededWeights(shapes=w.shapes, values=np.zeros_like(w.values))
 
 
 class TestFourierEmbed:
     def test_box_minimum_all_sin_zero_cos_one(self):
         pos = np.array([[0.0, 0, 0], [1.0, 1, 1]])
-        emb = fourier_embed(pos, CFG)
-        used = 6 * CFG.num_freqs
+        emb = fourier_embed(pos, D)
+        used = 6 * (D // 6)  # 6 columns per octave band
         assert np.allclose(emb[0, : used // 2], 0.0)
         assert np.allclose(emb[0, used // 2 : used], 1.0)
         assert np.allclose(emb[0, used:], 0.0)
 
     def test_bounded(self, rng):
-        emb = fourier_embed(rng.normal(size=(100, 3)) * 10, CFG)
+        emb = fourier_embed(rng.normal(size=(100, 3)) * 10, D)
         assert np.abs(emb).max() <= 1.0 + 1e-12
 
     def test_translation_invariance(self, rng):
         pos = rng.uniform(size=(50, 3))
         shifted = pos + np.array([100.0, -3.0, 7.5])
-        assert np.allclose(fourier_embed(pos, CFG), fourier_embed(shifted, CFG))
+        assert np.allclose(fourier_embed(pos, D), fourier_embed(shifted, D))
 
     def test_width_too_small(self):
         with pytest.raises(WidthTooSmall):
-            fourier_embed(np.zeros((2, 3)), FourierEmbedConfig(d=4))
+            fourier_embed(np.zeros((2, 3)), 4)
 
     def test_per_band_lipschitz(self, rng):
         # |d/du sin(2 pi 2^j u)| <= 2 pi 2^j, checked by finite differences
         pos = rng.uniform(0.1, 0.9, size=(20, 3))
         pos = np.vstack([pos, [[0.0, 0, 0], [1.0, 1, 1]]])  # pin the box
         h = 1e-6
-        base = fourier_embed(pos, CFG)
+        base = fourier_embed(pos, D)
         bumped_pos = pos.copy()
         bumped_pos[:20, 0] += h
-        bumped = fourier_embed(bumped_pos, CFG)
+        bumped = fourier_embed(bumped_pos, D)
         rates = np.abs(bumped[:20] - base[:20]) / h
-        for j in range(CFG.num_freqs):
+        for j in range(D // 6):
             bound = 2 * np.pi * 2.0**j
             # x-axis sin band j sits at column j (axis-major, then frequency)
             assert rates[:, j].max() <= bound + 1e-4 * bound
@@ -112,7 +111,7 @@ class TestFourierEmbedOracle:
     )
     def test_matches_per_band_loop(self, rng, case, d):
         pos, box = oracle_case(case, rng)
-        got = fourier_embed(pos, FourierEmbedConfig(d=d), box)
+        got = fourier_embed(pos, d, box)
         want = naive_fourier_embed(pos, d, box)
         assert np.abs(got - want).max() <= 1e-13
         assert np.array_equal(got[:, 6 * (d // 6) :], want[:, 6 * (d // 6) :])
@@ -124,9 +123,9 @@ class TestFourierEmbedOut:
         pos, box = oracle_case("chunk_of_cloud", rng)
         wide = np.full((pos.shape[0], d + 9), np.nan)
         out = wide[:, 5 : 5 + d]  # strided rows, padding columns left as NaN
-        got = fourier_embed(pos, FourierEmbedConfig(d=d), box, out=out)
+        got = fourier_embed(pos, d, box, out=out)
         assert got is out
-        assert np.array_equal(out, fourier_embed(pos, FourierEmbedConfig(d=d), box))
+        assert np.array_equal(out, fourier_embed(pos, d, box))
         assert np.isnan(wide[:, :5]).all() and np.isnan(wide[:, 5 + d :]).all()
 
 
@@ -138,7 +137,7 @@ class TestMlpProject:
     def test_identity_layer(self):
         shapes = ((4, 4),)
         values = np.concatenate([np.eye(4).ravel(), np.zeros(4)])
-        w = SeededWeights(seed=0, shapes=shapes, values=values)
+        w = SeededWeights(shapes=shapes, values=values)
         x = np.abs(np.random.default_rng(0).normal(size=(6, 4)))
         assert np.allclose(mlp_project(x, w), x)
 
@@ -164,18 +163,18 @@ def relative_error(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
-def unchunked_pool(cloud, labels, m, w, cfg):
+def unchunked_pool(cloud, labels, m, w, d):
     """The pooled tokens from all N point rows at once: one ``segment_mean``
     over the full rows, then the last layer over the hidden columns."""
     _, head = w.split(-1)
     h = head.shapes[0][0]
-    pooled, _ = segment_mean(labels, m, point_tokens(cloud, w, cfg))
+    pooled, _ = segment_mean(labels, m, point_tokens(cloud, w, d))
     return mlp_project(pooled[:, :h], head) + pooled[:, h:]
 
 
-def per_label_oracle(cloud, labels, m, w, cfg):
+def per_label_oracle(cloud, labels, m, w, d):
     """Mean of the full point tokens (every MLP layer plus the embedding)."""
-    tokens = mlp_project(cloud.features, w) + fourier_embed(cloud.positions, cfg)
+    tokens = mlp_project(cloud.features, w) + fourier_embed(cloud.positions, d)
     return np.stack([tokens[labels == lab].mean(axis=0) for lab in range(m)])
 
 
@@ -185,12 +184,12 @@ class TestPointTokens:
             positions=rng.uniform(size=(30, 3)), features=rng.uniform(size=(30, 3))
         )
         w = zero_weights([(3, 16), (16, 24)])
-        x0 = point_tokens(cloud, w, CFG)
-        emb = fourier_embed(cloud.positions, CFG)
+        x0 = point_tokens(cloud, w, D)
+        emb = fourier_embed(cloud.positions, D)
         assert np.array_equal(x0[:, :16], np.zeros((30, 16)))
         assert np.array_equal(x0[:, 16:], emb)
         labels = np.arange(30) % 4
-        pooled = superpoint_pool(cloud, build_partition(labels, cloud.positions), w, CFG)
+        pooled = superpoint_pool(cloud, build_partition(labels, cloud.positions), w, D)
         for lab in range(4):
             assert np.allclose(pooled.feats[lab], emb[labels == lab].mean(axis=0))
 
@@ -201,22 +200,22 @@ class TestPointTokens:
         for shapes in ([(3, 24)], [(3, 40), (40, 24)]):
             w = seeded_init(0, shapes)
             out = np.full((17, shapes[-1][0] + 24), np.nan)
-            assert point_tokens(cloud, w, CFG, None, out) is out
-            assert np.array_equal(out, point_tokens(cloud, w, CFG))
+            assert point_tokens(cloud, w, D, None, out) is out
+            assert np.array_equal(out, point_tokens(cloud, w, D))
 
     def test_row_count(self, rng):
         cloud = PointCloud(
             positions=rng.uniform(size=(17, 3)), features=rng.uniform(size=(17, 3))
         )
         w = seeded_init(0, [(3, 40), (40, 24)])
-        assert point_tokens(cloud, w, CFG).shape == (17, 40 + 24)
+        assert point_tokens(cloud, w, D).shape == (17, 40 + 24)
 
     def test_one_layer_hidden_part_is_raw_features(self, rng):
         # no hidden layer, so no ReLU: negative features pass through
         cloud = PointCloud(
             positions=rng.uniform(size=(9, 3)), features=rng.normal(size=(9, 3))
         )
-        x0 = point_tokens(cloud, seeded_init(0, [(3, 24)]), CFG)
+        x0 = point_tokens(cloud, seeded_init(0, [(3, 24)]), D)
         assert np.array_equal(x0[:, :3], cloud.features)
 
     def test_last_layer_fan_in_mismatch(self, rng):
@@ -225,7 +224,7 @@ class TestPointTokens:
         )
         w = seeded_init(0, [(3, 16), (20, 24)])
         with pytest.raises(ShapeMismatch):
-            point_tokens(cloud, w, CFG)
+            point_tokens(cloud, w, D)
 
     def test_feature_linearity_single_linear_layer(self, rng):
         # one layer, zero bias: MLP part is linear in the features
@@ -233,7 +232,7 @@ class TestPointTokens:
         w = seeded_init(0, shapes)
         values = w.values.copy()
         values[3 * 24 :] = 0.0
-        w = SeededWeights(seed=0, shapes=shapes, values=values)
+        w = SeededWeights(shapes=shapes, values=values)
         feats = rng.uniform(size=(10, 3))
         a = mlp_project(feats, w)
         b = mlp_project(2.5 * feats, w)
@@ -247,23 +246,23 @@ class TestPointTokens:
         w = seeded_init(1, [(3, 16), (16, 24)])
         rows = [3, 7, 8, 30]
         subset = PointCloud(positions=cloud.positions[rows], features=cloud.features[rows])
-        whole = point_tokens(cloud, w, CFG)
+        whole = point_tokens(cloud, w, D)
         box = bounding_box(cloud.positions)
-        assert np.array_equal(point_tokens(subset, w, CFG, box), whole[rows])
-        assert not np.allclose(point_tokens(subset, w, CFG), whole[rows])
+        assert np.array_equal(point_tokens(subset, w, D, box), whole[rows])
+        assert not np.allclose(point_tokens(subset, w, D), whole[rows])
 
 
 class TestSuperpointPool:
     # one-layer MLP: the point rows are the 4 raw features, then a d=6
     # embedding; the head maps 4 -> 6
     HEAD = seeded_init(5, [(4, 6)])
-    CFG6 = FourierEmbedConfig(d=6)
+    D6 = 6
 
     def pool(self, cloud, part):
-        return superpoint_pool(cloud, part, self.HEAD, self.CFG6)
+        return superpoint_pool(cloud, part, self.HEAD, self.D6)
 
     def rows(self, cloud):
-        return point_tokens(cloud, self.HEAD, self.CFG6)
+        return point_tokens(cloud, self.HEAD, self.D6)
 
     def test_single_superpoint_identical_tokens(self):
         cloud = PointCloud(
@@ -342,7 +341,7 @@ class TestSuperpointPool:
         cloud = PointCloud(positions=np.eye(3), features=np.ones((3, 4)))
         part = build_partition(np.array([0, 0, 1]), cloud.positions)
         with pytest.raises(ShapeMismatch):
-            superpoint_pool(cloud, part, self.HEAD, FourierEmbedConfig(d=12))
+            superpoint_pool(cloud, part, self.HEAD, 12)
 
 
 class TestSuperpointTokensOracle:
@@ -369,17 +368,16 @@ class TestSuperpointTokensOracle:
         labels[rng.choice(np.flatnonzero(np.arange(n) >= m), size=15, replace=False)] = -1
         labels[:m] = rng.permutation(m)
         w = seeded_init(seed + 10, shapes)
-        cfg = FourierEmbedConfig(d=d)
         part = build_partition(labels, cloud.positions)
-        got = superpoint_pool(cloud, part, w, cfg).feats
+        got = superpoint_pool(cloud, part, w, d).feats
 
-        tokens = mlp_project(cloud.features, w) + fourier_embed(cloud.positions, cfg)
+        tokens = mlp_project(cloud.features, w) + fourier_embed(cloud.positions, d)
         oracle = np.zeros((m, d))
         for lab in range(m):
             rows = [i for i in range(n) if labels[i] == lab]
             oracle[lab] = sum(tokens[i] for i in rows) / len(rows)
         assert relative_error(got, oracle) <= 1e-12
-        assert np.array_equal(got, unchunked_pool(cloud, labels, m, w, cfg))
+        assert np.array_equal(got, unchunked_pool(cloud, labels, m, w, d))
 
     def test_mlp_project_bit_equal_to_out_of_place(self, rng):
         w = seeded_init(3, [(5, 16), (16, 40), (40, 24)])
@@ -450,16 +448,16 @@ class TestChunkedPool:
     """The streamed pool across chunk boundaries."""
 
     W = seeded_init(4, [(3, 16), (16, 12)])
-    CFG12 = FourierEmbedConfig(d=12)
+    D12 = 12
 
     @pytest.mark.parametrize("case", CHUNK_CASES)
     def test_matches_oracle_and_unchunked_formula(self, case, rng):
         cloud, labels, m = chunked_scene(case, rng)
         part = build_partition(labels, cloud.positions)
-        got = superpoint_pool(cloud, part, self.W, self.CFG12).feats
-        oracle = per_label_oracle(cloud, labels, m, self.W, self.CFG12)
+        got = superpoint_pool(cloud, part, self.W, self.D12).feats
+        oracle = per_label_oracle(cloud, labels, m, self.W, self.D12)
         assert relative_error(got, oracle) <= 1e-12
-        assert np.array_equal(got, unchunked_pool(cloud, labels, m, self.W, self.CFG12))
+        assert np.array_equal(got, unchunked_pool(cloud, labels, m, self.W, self.D12))
 
     @pytest.mark.parametrize("case", CHUNK_CASES)
     def test_chunks_cut_at_label_starts(self, case, rng):
@@ -494,7 +492,7 @@ class TestChunkedPool:
             return raw(chunk, *args)
 
         monkeypatch.setattr(tokenizer, "point_tokens", counting)
-        superpoint_pool(cloud, build_partition(labels, cloud.positions), self.W, self.CFG12)
+        superpoint_pool(cloud, build_partition(labels, cloud.positions), self.W, self.D12)
         assert len(seen) >= 3 and sum(seen) == cloud.n_points
 
 
@@ -506,11 +504,10 @@ class TestStreamMemory:
         cloud = make_scene(n, seed=5)
         part = voxel_superpoints(cloud, 0.6)
         w = seeded_init(0, [(cloud.n_channels, width), (width, width)])
-        cfg = FourierEmbedConfig(d=width)
         bound = 0.5 * n * (2 * width) * 8
         tracemalloc.start()
         try:
-            superpoint_pool(cloud, part, w, cfg)
+            superpoint_pool(cloud, part, w, width)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
