@@ -1,7 +1,9 @@
 """Shared domain types, validation, and seeded weight initialization.
 
 All arrays are float64 in the reference path; types are frozen after
-construction and safe to share across workers.
+construction and safe to share across workers. ``SeededWeights`` holds a
+stack's layer shapes and flat values only: ``seeded_init`` derives the
+values from a seed, and weight files store the shapes and values alone.
 """
 
 from __future__ import annotations

@@ -3,11 +3,17 @@
 TokenFile layout (little endian): magic b"FAS3", version u16, T u32, d u32,
 row-major float64 feats (T*d) then centers (T*3), then a CRC32 of the
 payload bytes.
+
+Weight files are .npz archives with two arrays per layer stack:
+``<name>.values`` (flat parameters) and ``<name>.shapes`` (one integer
+(fan_in, fan_out) row per layer). ``load_weights`` ignores every other
+array and raises ``InvalidWeights`` for a file or stack it cannot use.
 """
 
 from __future__ import annotations
 
 import struct
+import zipfile
 import zlib
 
 import numpy as np
@@ -259,37 +265,72 @@ def save_weights(path, named_weights):
     np.savez(path, **payload)
 
 
+# What np.load and reading an entry raise on a damaged .npz: a bad .npy
+# header or an array that needs pickle (ValueError), an entry offset outside
+# the file (OSError), short or corrupt compressed data (EOFError, zlib.error),
+# an encrypted entry or unknown compression method (RuntimeError), a header
+# declaring more elements than can be allocated (MemoryError), and a bad zip
+# directory or CRC (BadZipFile).
+_NPZ_READ_ERRORS = (
+    ValueError, OSError, EOFError, RuntimeError, MemoryError, zipfile.BadZipFile, zlib.error
+)
+
+
 def load_weights(path):
     """Inverse of save_weights: a dict of SeededWeights by name.
 
     Every ``<name>.values`` array names a stack; other arrays are ignored.
-    Raises ``InvalidWeights`` naming the array when a stack's ``.shapes``
-    is missing, its ``.values`` length is not what the shapes need, or its
-    layer shapes do not chain.
+    Raises ``InvalidWeights`` naming the file when it is not an .npz that
+    numpy can read without pickle, and naming the array when a stack's
+    ``.shapes`` is missing, is not integer, or its layer shapes do not chain,
+    or its ``.values`` are not real numbers, hold a NaN or inf, or are not
+    as many as the shapes need.
     """
-    data = np.load(path)
-    stems = {key.rsplit(".", 1)[0] for key in data.files if key.endswith(".values")}
-    return {stem: _weight_stack(data, stem) for stem in sorted(stems)}
+    with open(path, "rb") as fh:
+        if fh.read(4) not in (b"PK\x03\x04", b"PK\x05\x06"):  # np.load's zip test
+            raise InvalidWeights(f"{path} is not an .npz archive")
+        fh.seek(0)
+        try:
+            data = np.load(fh)
+            stems = sorted(k[: -len(".values")] for k in data.files if k.endswith(".values"))
+            keys = [f"{stem}.{suffix}" for stem in stems for suffix in ("values", "shapes")]
+            arrays = {key: data[key] for key in keys if key in data.files}
+        except _NPZ_READ_ERRORS as exc:
+            raise InvalidWeights(f"{path} is not a readable .npz of arrays ({exc})") from None
+    return {stem: _weight_stack(arrays, stem, path) for stem in stems}
 
 
-def _weight_stack(data, stem):
+def _weight_stack(arrays, stem, path):
     """The SeededWeights stored under ``stem``, checked against its shapes."""
-    if f"{stem}.shapes" not in data.files:
-        raise InvalidWeights(f"{stem}.shapes is missing")
-    shapes = data[f"{stem}.shapes"]
-    if shapes.ndim != 2 or shapes.shape[1] != 2 or (shapes < 1).any():
-        raise InvalidWeights(f"{stem}.shapes must be rows of positive (fan_in, fan_out)")
+    name = f"{path}: {stem}"
+    if f"{stem}.shapes" not in arrays:
+        raise InvalidWeights(f"{name}.shapes is missing")
+    shapes = arrays[f"{stem}.shapes"]
+    if (
+        not np.issubdtype(shapes.dtype, np.integer)
+        or shapes.ndim != 2
+        or shapes.shape[1] != 2
+        or (shapes < 1).any()
+    ):
+        raise InvalidWeights(
+            f"{name}.shapes must be integer rows of positive (fan_in, fan_out)"
+        )
     shapes = tuple((int(fi), int(fo)) for fi, fo in shapes)
     for i in range(1, len(shapes)):
         if shapes[i][0] != shapes[i - 1][1]:
             raise InvalidWeights(
-                f"{stem}.shapes: layer {i} fan-in {shapes[i][0]} "
+                f"{name}.shapes: layer {i} fan-in {shapes[i][0]} "
                 f"!= layer {i - 1} fan-out {shapes[i - 1][1]}"
             )
-    values = data[f"{stem}.values"]
+    values = arrays[f"{stem}.values"]
+    if values.dtype.kind not in "iuf":
+        raise InvalidWeights(f"{name}.values has dtype {values.dtype}, not real numbers")
     expected = sum(fi * fo + fo for fi, fo in shapes)
     if values.shape != (expected,):
         raise InvalidWeights(
-            f"{stem}.values has shape {values.shape}; {stem}.shapes need ({expected},)"
+            f"{name}.values has shape {values.shape}; {stem}.shapes need ({expected},)"
         )
+    values = values.astype(np.float64, copy=False)
+    if not np.isfinite(values).all():
+        raise InvalidWeights(f"{name}.values holds a NaN or inf")
     return SeededWeights(shapes=shapes, values=values)

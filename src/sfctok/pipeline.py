@@ -16,7 +16,7 @@ from .core import (
     seeded_init,
     validate_cloud,
 )
-from .errors import LengthMismatch, StageError, SuggestLowerT
+from .errors import LengthMismatch, ShapeMismatch, StageError, SuggestLowerT
 
 
 @dataclass
@@ -34,6 +34,26 @@ class PipelineWeights:
             importance_mlp=seeded_init(seed + 1, [(width, width // 2), (width // 2, 1)]),
             projection=seeded_init(seed + 2, [(svd_rank, tokens)]),
         )
+
+    def check(self, n_channels, cfg: PipelineConfig):
+        """Raise ``ShapeMismatch`` naming the first stack whose outer shapes
+        do not fit ``n_channels`` input features and ``cfg``."""
+        for name, fan_in, fan_out in (
+            ("point_mlp", n_channels, cfg.width),
+            ("importance_mlp", cfg.width, 1),
+        ):
+            shapes = getattr(self, name).shapes
+            if not shapes or shapes[0][0] != fan_in or shapes[-1][1] != fan_out:
+                raise ShapeMismatch(
+                    f"{name} has layer shapes {list(shapes)}; the config needs "
+                    f"fan-in {fan_in} and fan-out {fan_out}"
+                )
+        want = ((cfg.svd_rank, cfg.tokens),)
+        if self.projection.shapes != want:
+            raise ShapeMismatch(
+                f"projection has layer shapes {list(self.projection.shapes)}; "
+                f"the config needs {list(want)}"
+            )
 
 
 @dataclass
@@ -105,8 +125,9 @@ def run_pipeline(
     subsampled) cloud. Labels passed in must align with the subsampled cloud;
     callers providing external labels should subsample beforehand.
 
-    The cloud and the partition's label count are checked before any stage
-    runs; bad input raises a typed ``SfcTokError`` naming it.
+    The cloud, the partition's label count and the outer shapes of any
+    ``weights`` given are checked before any stage runs; bad input raises a
+    typed ``SfcTokError`` naming it.
     """
     validate_cloud(cloud)
     n_scene = min(cloud.n_points, cfg.sample_n)
@@ -115,6 +136,8 @@ def run_pipeline(
             f"partition has {partition.labels.shape[0]} labels "
             f"for a {n_scene}-point scene"
         )
+    if weights is not None:
+        weights.check(cloud.n_channels, cfg)
     timings = {}
 
     with _Stage("subsample", timings):

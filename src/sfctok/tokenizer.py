@@ -2,7 +2,9 @@
 
 A superpoint token is the per-label mean of the point tokens, the sum of a
 shallow MLP projection of the point features and a parameter-free Fourier
-embedding of box-normalized coordinates. The MLP's last layer is linear and
+embedding of box-normalized coordinates. Both are as wide as the token,
+an int passed down as ``width`` or ``d``; the embedding fills d // 6 octave
+bands per axis and zero-pads the rest. The MLP's last layer is linear and
 so is the mean, so the mean is taken over the last hidden layer and the
 embedding, and the last layer runs once per superpoint instead of once per
 point. Also hosts the voxel fallback segmenter.

@@ -11,11 +11,13 @@ import pytest
 import sfctok
 from sfctok.cli import main
 from sfctok.config import PipelineConfig
-from sfctok.core import build_partition
+from sfctok import pipeline
+from sfctok.core import build_partition, seeded_init
 from sfctok.errors import (
     LengthMismatch,
     NonFiniteCoordinate,
     NonFiniteFeature,
+    ShapeMismatch,
     StageError,
     SuggestLowerT,
 )
@@ -30,6 +32,15 @@ SMALL = [
     "--svd-rank", "16",
     "--voxel-cell", "0.5",
 ]
+
+
+@pytest.fixture
+def no_stage_runs(monkeypatch):
+    """Fail the test if run_pipeline enters any stage."""
+    def enter(stage):
+        raise AssertionError(f"stage {stage.name} ran")
+
+    monkeypatch.setattr(pipeline._Stage, "__enter__", enter)
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +121,33 @@ class TestPipeline:
         partition = build_partition(labels, other.positions)
         with pytest.raises(LengthMismatch, match="2000 labels for a 3000-point"):
             run_pipeline(make_scene(3000, seed=3), cfg, partition=partition)
+
+    @pytest.mark.parametrize("name, shapes", [
+        ("point_mlp", [(4, 32), (32, 32)]),  # fan-in is not the 3 channels
+        ("point_mlp", [(3, 32), (32, 24)]),  # fan-out is not the width
+        ("importance_mlp", [(32, 16), (16, 5)]),
+        ("importance_mlp", [(24, 16), (16, 1)]),
+        ("projection", [(8, 8)]),
+        ("projection", [(8, 12), (12, 12)]),
+    ])
+    def test_weights_that_do_not_fit_rejected_at_entry(self, no_stage_runs, name, shapes):
+        cfg = PipelineConfig(
+            sample_n=2000, tokens=12, width=32, svd_rank=8, voxel_cell=0.5
+        )
+        weights = PipelineWeights.from_seed(0, 3, 32, 8, 12)
+        setattr(weights, name, seeded_init(5, shapes))
+        with pytest.raises(ShapeMismatch, match=f"^{name} has layer shapes"):
+            run_pipeline(make_scene(2000, seed=3), cfg, weights=weights)
+
+    def test_one_layer_point_mlp_accepted(self):
+        cfg = PipelineConfig(
+            sample_n=2000, tokens=12, width=32, svd_rank=8, voxel_cell=0.5
+        )
+        weights = PipelineWeights.from_seed(0, 3, 32, 8, 12)
+        weights.point_mlp = seeded_init(5, [(3, 32)])
+        result = run_pipeline(make_scene(2000, seed=3), cfg, weights=weights)
+        assert result.tokens.feats.shape == (12, 32)
+        assert np.isfinite(result.tokens.feats).all()
 
     def test_subsample(self):
         cloud = make_scene(1000, seed=5)
@@ -278,6 +316,50 @@ class TestCli:
             weights["point_mlp"] = dataclasses.replace(mlp, shapes=((3, 32), (31, 32)))
         path = tmp_path / "w.npz"
         save_weights(path, weights)
+        rc = main(["tokenize", str(scene_ply), "--out", str(tmp_path / "o.tok"),
+                   "--weights", str(path), *SMALL])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("fault, named", [
+        ("text", "w.npz is not an .npz archive"),
+        ("corrupt_zip", "w.npz is not a readable .npz"),
+        ("float_shapes", "w.npz: point_mlp.shapes"),
+        ("nan", "w.npz: projection.values"),
+        ("str", "w.npz: projection.values"),
+        ("complex", "w.npz: projection.values"),
+        ("five_outputs", "importance_mlp"),
+        ("narrow_projection", "projection"),
+    ])
+    def test_unusable_weights_file_exits_before_any_stage(
+        self, scene_ply, tmp_path, capsys, no_stage_runs, fault, named
+    ):
+        arrays = {}
+        for name, w in vars(PipelineWeights.from_seed(0, 3, 32, 16, 24)).items():
+            arrays[f"{name}.values"] = w.values
+            arrays[f"{name}.shapes"] = np.array(w.shapes)
+        values = arrays["projection.values"]
+        if fault == "float_shapes":
+            arrays["point_mlp.shapes"] = np.array([[3.5, 32], [32, 32]])
+        elif fault == "nan":
+            arrays["projection.values"] = np.where(np.arange(values.size) == 5, np.nan, values)
+        elif fault in ("str", "complex"):
+            arrays["projection.values"] = values.astype(fault)
+        elif fault == "five_outputs":
+            w = seeded_init(1, [(32, 16), (16, 5)])
+            arrays["importance_mlp.values"] = w.values
+            arrays["importance_mlp.shapes"] = np.array(w.shapes)
+        elif fault == "narrow_projection":
+            w = seeded_init(2, [(16, 8)])
+            arrays["projection.values"] = w.values
+            arrays["projection.shapes"] = np.array(w.shapes)
+        path = tmp_path / "w.npz"
+        np.savez(path, **arrays)
+        if fault == "text":
+            path.write_text("not weights\n")
+        elif fault == "corrupt_zip":
+            path.write_bytes(b"PK\x03\x04" + bytes(64))
         rc = main(["tokenize", str(scene_ply), "--out", str(tmp_path / "o.tok"),
                    "--weights", str(path), *SMALL])
         assert rc == 1

@@ -1,11 +1,15 @@
 """Tests for PLY parsing, label files, token files, weights, and config."""
 
 import dataclasses
+import io as io_module
 import struct
+import zipfile
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfctok.config import PipelineConfig, config_from_sources, parse_config_file
 from sfctok.core import PointCloud, TokenMatrix, seeded_init
@@ -317,6 +321,172 @@ class TestWeights:
         np.savez(path, **{"alpha.values": np.zeros(3), "alpha.seed": np.array(0)})
         with pytest.raises(InvalidWeights, match=r"alpha\.shapes is missing"):
             load_weights(path)
+
+
+    def npz(self, path, **over):
+        """A valid two-stack weights file, with arrays replaced or added."""
+        a = seeded_init(3, [(4, 8), (8, 1)])
+        arrays = {"alpha.values": a.values, "alpha.shapes": np.array(a.shapes)}
+        arrays.update(over)
+        np.savez(path, **arrays)
+        return path
+
+    @pytest.mark.parametrize("content", [
+        b"not weights\n",
+        b"",
+        b"PK\x03\x04" + bytes(64),
+        "truncated",
+        "spliced",
+        "huge_header",
+        "npy",
+        "pickled",
+    ])
+    def test_unreadable_file_rejected(self, tmp_path, content):
+        path = tmp_path / "w.npz"
+        if content == "truncated":
+            data = self.npz(path).read_bytes()
+            path.write_bytes(data[: len(data) // 2])
+        elif content == "spliced":  # entry offsets now point past the end
+            data = self.npz(path).read_bytes()
+            path.write_bytes(data[:550] + data[587:])
+        elif content == "huge_header":  # an entry declaring ~7 TiB of float64
+            buf = io_module.BytesIO()
+            np.save(buf, np.zeros(49))
+            npy = buf.getvalue().replace(b"(49,), }" + b" " * 10, b"(999999999999,), }")
+            with zipfile.ZipFile(path, "w") as archive:
+                archive.writestr("alpha.values.npy", npy)
+        elif content == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros(3))
+        elif content == "pickled":
+            self.npz(path, **{"alpha.values": np.array([1.0, "x"], dtype=object)})
+        else:
+            path.write_bytes(content)
+        with pytest.raises(InvalidWeights, match=r"w\.npz is not a(n| readable) \.npz"):
+            load_weights(path)
+
+    def test_non_integer_shapes_rejected(self, tmp_path):
+        # 3.5 used to be truncated to 3
+        path = self.npz(tmp_path / "w.npz", **{"alpha.shapes": np.array([[3.5, 8], [8, 1]])})
+        with pytest.raises(InvalidWeights, match=r"w\.npz: alpha\.shapes must be integer"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, tmp_path, bad):
+        values = seeded_init(3, [(4, 8), (8, 1)]).values.copy()
+        values[7] = bad
+        path = self.npz(tmp_path / "w.npz", **{"alpha.values": values})
+        with pytest.raises(InvalidWeights, match=r"w\.npz: alpha\.values holds a NaN or inf"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("dtype", [str, complex, bool])
+    def test_non_real_values_rejected(self, tmp_path, dtype):
+        values = seeded_init(3, [(4, 8), (8, 1)]).values.astype(dtype)
+        path = self.npz(tmp_path / "w.npz", **{"alpha.values": values})
+        with pytest.raises(InvalidWeights, match=r"alpha\.values has dtype .*not real numbers"):
+            load_weights(path)
+
+    def test_integer_values_load_as_float64(self, tmp_path):
+        path = self.npz(tmp_path / "w.npz", **{"alpha.values": np.arange(49)})
+        values = load_weights(path)["alpha"].values
+        assert values.dtype == np.float64 and np.array_equal(values, np.arange(49.0))
+
+
+def _weights_file(data, keys, action, key, dtype, cut):
+    """An .npz of the ``keys`` arrays of ``data``, one of them changed."""
+    arrays = {k: data[k] for k in keys}
+    if action == "drop":
+        del arrays[key]
+    elif action == "dtype":
+        arrays[key] = arrays[key].astype(dtype)
+    elif action == "nan":
+        arrays[key] = arrays[key].astype(np.float64)
+        arrays[key].flat[:: max(1, arrays[key].size // 3)] = np.nan
+    buf = io_module.BytesIO()
+    np.savez(buf, **arrays)
+    return _cut(buf.getvalue(), action, cut)
+
+
+def _cut(raw, action, cut):
+    """``raw`` ended at ``cut``, or with 37 bytes from ``cut`` on taken out."""
+    if action == "truncate":
+        return raw[:cut]
+    if action == "splice":
+        return raw[:cut] + raw[cut + 37 :]
+    return raw
+
+
+def _token_file(tokens, action, part, dtype, cut):
+    """A token file of ``tokens`` with one part dropped, retyped or NaN-filled."""
+    feats, centers = tokens.feats, tokens.centers
+    if action == "nan":
+        feats = feats.copy()
+        feats.flat[::3] = np.nan
+    if action == "dtype":
+        feats = feats.astype(dtype)
+    payload = feats.tobytes() + centers.tobytes()
+    parts = {
+        "magic": TOKENFILE_MAGIC,
+        "header": struct.pack("<HII", 1, tokens.n_tokens, tokens.width),
+        "feats": feats.tobytes(),
+        "centers": centers.tobytes(),
+        "crc": struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF),
+    }
+    if action == "drop":
+        del parts[part]
+    return _cut(b"".join(parts.values()), action, cut)
+
+
+class TestFuzzBoundary:
+    """Damaged weight and token files raise the typed error, nothing else."""
+
+    ACTIONS = st.sampled_from(["truncate", "splice", "dtype", "nan", "drop", "none"])
+    DTYPES = st.sampled_from(
+        [np.float32, np.float16, np.int64, np.uint8, np.int8, bool, complex, "<U4", object]
+    )
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        action=ACTIONS,
+        key=st.integers(0, 5),
+        dtype=DTYPES,
+        cut=st.integers(0, 4000),
+    )
+    def test_load_weights(self, tmp_path_factory, action, key, dtype, cut):
+        from sfctok.pipeline import PipelineWeights
+
+        data = {}
+        for name, w in vars(PipelineWeights.from_seed(0, 3, 8, 4, 4)).items():
+            data[f"{name}.values"] = w.values
+            data[f"{name}.shapes"] = np.array(w.shapes)
+        keys = sorted(data)
+        raw = _weights_file(data, keys, action, keys[key], dtype, cut)
+        path = tmp_path_factory.mktemp("fuzz") / "w.npz"
+        path.write_bytes(raw)
+        try:
+            named = load_weights(path)
+        except InvalidWeights:
+            return
+        for w in named.values():
+            assert w.values.dtype == np.float64 and np.isfinite(w.values).all()
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        action=ACTIONS,
+        part=st.sampled_from(["magic", "header", "feats", "centers", "crc"]),
+        dtype=st.sampled_from([np.float32, np.int64, np.int32, np.float16]),
+        cut=st.integers(0, 600),
+    )
+    def test_read_token_file(self, tmp_path_factory, action, part, dtype, cut):
+        rng = np.random.Generator(np.random.PCG64(7))
+        tokens = TokenMatrix(feats=rng.normal(size=(4, 6)), centers=rng.normal(size=(4, 3)))
+        path = tmp_path_factory.mktemp("fuzz") / "t.tok"
+        path.write_bytes(_token_file(tokens, action, part, dtype, cut))
+        try:
+            got = read_token_file(path)
+        except ParseError:
+            return
+        assert got.feats.shape[1] == got.width and got.centers.shape[1] == 3
 
 
 class TestConfig:

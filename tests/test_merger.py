@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfctok.core import SeededWeights, TokenMatrix, seeded_init
-from sfctok.errors import ConfigError, DimensionMismatch, InvalidMarginals, RankTooLarge
+from sfctok.errors import (
+    ConfigError,
+    DimensionMismatch,
+    InvalidMarginals,
+    NonFiniteKernel,
+    RankTooLarge,
+)
 from sfctok import merger
 from sfctok.merger import (
     DENSE_SVD_ROWS,
@@ -282,6 +288,22 @@ class TestSinkhorn:
         logits = np.zeros((3, 2))
         with pytest.raises(ConfigError, match="must be positive and finite"):
             sinkhorn(logits, np.full(3, 1 / 3), np.full(2, 1 / 2), tau=tau)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits(self, rng, bad):
+        logits = rng.normal(size=(5, 3))
+        logits[2, 1] = bad
+        with pytest.raises(NonFiniteKernel, match="logits contain non-finite entries"):
+            sinkhorn(logits, np.full(5, 1 / 5), np.full(3, 1 / 3), tau=0.5)
+
+    def test_overflowing_logits_over_tau(self):
+        # finite logits whose quotient by tau overflows float64: the row
+        # shift turns inf - inf into NaN, and the plan check catches it
+        logits = np.array([[1e300, 0.0], [0.0, 1e300], [0.5, 0.5]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteKernel, match="transport plan overflowed"):
+                sinkhorn(logits, np.full(3, 1 / 3), np.full(2, 1 / 2), tau=1e-10,
+                         max_iters=3)
 
     def test_invalid_marginals(self):
         logits = np.zeros((3, 3))
