@@ -32,6 +32,7 @@ from sfctok.io import (
     save_weights,
     write_token_file,
 )
+from sfctok.pipeline import PipelineWeights
 
 
 def make_cloud(rng, n=50):
@@ -392,9 +393,9 @@ class TestWeights:
         assert values.dtype == np.float64 and np.array_equal(values, np.arange(49.0))
 
 
-def _weights_file(data, keys, action, key, dtype, cut):
-    """An .npz of the ``keys`` arrays of ``data``, one of them changed."""
-    arrays = {k: data[k] for k in keys}
+def _weights_file(data, action, key, dtype, cut):
+    """An .npz of the ``data`` arrays, one of them changed."""
+    arrays = dict(data)
     if action == "drop":
         del arrays[key]
     elif action == "dtype":
@@ -453,14 +454,11 @@ class TestFuzzBoundary:
         cut=st.integers(0, 4000),
     )
     def test_load_weights(self, tmp_path_factory, action, key, dtype, cut):
-        from sfctok.pipeline import PipelineWeights
-
         data = {}
         for name, w in vars(PipelineWeights.from_seed(0, 3, 8, 4, 4)).items():
             data[f"{name}.values"] = w.values
             data[f"{name}.shapes"] = np.array(w.shapes)
-        keys = sorted(data)
-        raw = _weights_file(data, keys, action, keys[key], dtype, cut)
+        raw = _weights_file(data, action, sorted(data)[key], dtype, cut)
         path = tmp_path_factory.mktemp("fuzz") / "w.npz"
         path.write_bytes(raw)
         try:
@@ -486,7 +484,7 @@ class TestFuzzBoundary:
             got = read_token_file(path)
         except ParseError:
             return
-        assert got.feats.shape[1] == got.width and got.centers.shape[1] == 3
+        assert got.feats.shape == (4, 6) and got.centers.shape == (4, 3)
 
 
 class TestConfig:
