@@ -69,8 +69,14 @@ def _parse_ply_header(data):
         if parts[0] == "format":
             fmt = parts[1]
         elif parts[0] == "element":
+            # the vertex data is read from the start of the body, so no
+            # element's data may come before it
+            if n_vertices is None and parts[1] != "vertex":
+                raise UnsupportedProperty(f"element {parts[1]} before the vertex element")
             in_vertex = parts[1] == "vertex"
             if in_vertex:
+                if n_vertices is not None:
+                    raise ParseError("more than one vertex element", offset=0)
                 if not parts[2].isdigit():
                     raise ParseError(
                         f"vertex count {parts[2]!r} is not a nonnegative integer",

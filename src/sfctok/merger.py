@@ -35,11 +35,9 @@ class SpectralEmbedding:
 @dataclass(frozen=True)
 class TransportPlan:
     plan: np.ndarray  # (M, T), nonnegative
-    mu: np.ndarray  # (M,)
-    nu: np.ndarray  # (T,)
     iterations: int
     residual: float
-    converged: bool = False  # residual <= the solver's residual_tol
+    converged: bool  # residual <= the solver's residual_tol
 
 
 def smooth_features(a_hat, tokens: TokenMatrix):
@@ -52,12 +50,12 @@ def smooth_features(a_hat, tokens: TokenMatrix):
     return a_hat @ (feats - feats.mean(axis=0, keepdims=True))
 
 
-def _fix_signs(u, vt):
-    """Flip singular vector pairs so each u column's largest-|entry| is positive."""
+def _fix_signs(u):
+    """Flip singular vectors so each u column's largest-|entry| is positive."""
     idx = np.argmax(np.abs(u), axis=0)
     signs = np.sign(u[idx, np.arange(u.shape[1])])
     signs[signs == 0] = 1.0
-    return u * signs, vt * signs[:, None]
+    return u * signs
 
 
 # Rows per block of _orthonormal_basis: a 1024 x 40 block (330 kB) stays in
@@ -112,11 +110,11 @@ def spectral_embed(y, r, seed=0) -> SpectralEmbedding:
         for _ in range(2):
             q = _orthonormal_basis(y @ (y.T @ q))
         y = q.T @ y
-    u, s, vt = np.linalg.svd(y, full_matrices=False)
-    u, s, vt = u[:, :r], s[:r], vt[:r]
+    u, s, _ = np.linalg.svd(y, full_matrices=False)
+    u, s = u[:, :r], s[:r]
     if randomized:
         u = q @ u
-    u, vt = _fix_signs(u, vt)
+    u = _fix_signs(u)
     return SpectralEmbedding(z_emb=u * s[None, :], singular_values=s, u=u)
 
 
@@ -124,6 +122,10 @@ def importance_scores(tokens: TokenMatrix, weights: SeededWeights):
     """Per-token scalar from the importance MLP, softmaxed onto the simplex."""
     from .tokenizer import mlp_project
 
+    if not weights.shapes or weights.shapes[-1][1] != 1:
+        raise DimensionMismatch(
+            f"importance MLP layer shapes {list(weights.shapes)} must end in fan-out 1"
+        )
     raw = mlp_project(tokens.feats, weights)[:, 0]
     raw = raw - raw.max()
     e = np.exp(raw)
@@ -132,6 +134,10 @@ def importance_scores(tokens: TokenMatrix, weights: SeededWeights):
 
 def project_logits(z_emb, w_proj: SeededWeights):
     """Plain matrix product Z_emb @ W (the projection carries no bias)."""
+    if w_proj.n_layers != 1:
+        raise DimensionMismatch(
+            f"projection has {w_proj.n_layers} layers; it must have exactly one"
+        )
     w, _ = w_proj.layer(0)
     if z_emb.shape[1] != w.shape[0]:
         raise DimensionMismatch(
@@ -160,12 +166,11 @@ def sinkhorn(
 
     Stabilization stays in the same loop (log-domain absorption, Schmitzer
     2019): when a scaling leaves ``exp(+-200)`` or a product ``K v``
-    / ``K^T u`` has a zero, subnormal or non-finite entry, ``log u`` and
-    ``log v`` move into ``f`` and ``g`` and ``K`` is rebuilt. A starved row
-    or column takes its potential from a log-domain update of that row or
-    column alone. Mathematically every sweep equals the log-domain update
-    ``f = log mu - LSE_j(logits / tau + g)`` then
-    ``g = log nu - LSE_i(logits / tau + f)``.
+    / ``K^T u`` has a zero, subnormal or non-finite entry, the other side's
+    scaling moves into its potential, this side takes the log-domain update
+    ``f = log mu - LSE_j(logits / tau + g)`` (or
+    ``g = log nu - LSE_i(logits / tau + f)``), and ``K`` is rebuilt.
+    Mathematically every sweep equals those two updates.
 
     Sweeps stop when the worst marginal violation drops to ``residual_tol``
     or after ``max_iters`` (at least 1); ``converged`` reports which.
@@ -177,40 +182,36 @@ def sinkhorn(
         raise ConfigError(f"tau={tau} must be positive and finite")
     if max_iters < 1:
         raise ConfigError(f"max_iters={max_iters} must be >= 1")
-    if not np.isfinite(logits).all():
-        raise NonFiniteKernel("logits contain non-finite entries")
+    with np.errstate(over="ignore"):
+        k = logits / tau
+    if not np.isfinite(k).all():
+        if not np.isfinite(logits).all():
+            raise NonFiniteKernel("logits contain non-finite entries")
+        raise NonFiniteKernel(f"logits / tau overflows float64 at tau={tau}")
     for name, marg, size in (("mu", mu, logits.shape[0]), ("nu", nu, logits.shape[1])):
         if marg.shape != (size,) or (marg <= 0).any() or abs(marg.sum() - 1.0) > 1e-8:
             raise InvalidMarginals(f"{name} must be a positive simplex vector")
 
-    k = logits / tau
     f = -k.max(axis=1)
     g = np.zeros(nu.shape[0])
-    k += f[:, None]
-    np.exp(k, out=k)
-    u = np.ones(mu.shape[0])
-    v = np.ones(nu.shape[0])
+    k, u, v = _kernel(k, f, g)
     kv = k @ v
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for iterations in range(1, max_iters + 1):
             u = mu / kv
             if _needs_absorb(u, kv):
-                log_k = logits / tau
-                g = g + np.log(v)
-                f = _absorb(log_k, f, u, kv, np.log(mu), g)
-                k = np.exp(log_k + f[:, None] + g[None, :])
-                u = np.ones(mu.shape[0])
-                v = np.ones(nu.shape[0])
+                g += np.log(v)
+                log_k = np.divide(logits, tau, out=k)
+                f = np.log(mu) - _logsumexp_rows(log_k + g)
+                k, u, v = _kernel(log_k, f, g)
             ktu = k.T @ u
             v = nu / ktu
             if _needs_absorb(v, ktu):
-                log_k = logits / tau
-                f = f + np.log(u)
-                g = _absorb(log_k.T, g, v, ktu, np.log(nu), f)
-                k = np.exp(log_k + f[:, None] + g[None, :])
-                u = np.ones(mu.shape[0])
-                v = np.ones(nu.shape[0])
+                f += np.log(u)
+                log_k = np.divide(logits, tau, out=k)
+                g = np.log(nu) - _logsumexp_rows(log_k.T + f)
+                k, u, v = _kernel(log_k, f, g)
                 ktu = k.T @ u
             kv = k @ v
             residual = max(np.abs(u * kv - mu).max(), np.abs(v * ktu - nu).max())
@@ -223,8 +224,6 @@ def sinkhorn(
         raise NonFiniteKernel("transport plan overflowed")
     return TransportPlan(
         plan=plan,
-        mu=mu,
-        nu=nu,
         iterations=iterations,
         residual=float(residual),
         converged=bool(residual <= residual_tol),
@@ -247,18 +246,14 @@ def _needs_absorb(scale, prod):
     )
 
 
-def _absorb(log_k, pot, scale, prod, log_marg, other):
-    """Row potential ``pot + log(scale)`` of ``log_k`` given the column
-    potential ``other``. A row whose kernel product ``prod`` is zero,
-    subnormal or non-finite (starved) takes the log-domain update
-    ``log_marg - LSE(log_k + other)`` instead."""
-    pot = pot + np.log(scale)
-    starved = ~(prod >= _TINY)
-    if starved.any():
-        pot[starved] = log_marg[starved] - _logsumexp_rows(
-            log_k[starved] + other[None, :]
-        )
-    return pot
+def _kernel(log_k, f, g):
+    """``(K, u, v)``: the kernel exp(log_k + f_i + g_j), built in place over
+    ``log_k``, and unit scalings."""
+    log_k += f[:, None]
+    if g.any():  # g is 0 for the first kernel: skip that pass over (M, T)
+        log_k += g
+    np.exp(log_k, out=log_k)
+    return log_k, np.ones(f.shape[0]), np.ones(g.shape[0])
 
 
 def _logsumexp_rows(a):

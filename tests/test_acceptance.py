@@ -22,6 +22,7 @@ from sfctok.graph import (
     rerank_topk,
     window_vote,
 )
+from sfctok import merger
 from sfctok.io import write_token_file
 from sfctok.merger import sinkhorn, smooth_features, soft_pool, spectral_embed
 from sfctok.pipeline import build_vote_graph, run_pipeline
@@ -261,6 +262,39 @@ def test_sinkhorn_small_tau_matches_log_reference():
         assert plan.iterations == iters
         assert np.isfinite(plan.plan).all()
         assert np.abs(plan.plan - ref).max() <= 1e-7
+
+
+def test_sinkhorn_starved_row_matches_log_reference(monkeypatch):
+    # a subnormal row marginal: once the row is scaled to its mass, its
+    # kernel product K v falls below the smallest normal float, so every
+    # later row update has a starved row to take in the log domain
+    starved = []
+    needs_absorb = merger._needs_absorb
+
+    def spy(scale, prod):
+        if prod.shape[0] == m:
+            starved.append(int((~(prod >= np.finfo(np.float64).tiny)).sum()))
+        return needs_absorb(scale, prod)
+
+    monkeypatch.setattr(merger, "_needs_absorb", spy)
+    rng = np.random.Generator(np.random.PCG64(56))
+    m, t, tau = 7, 3, 0.5
+    logits = rng.normal(size=(m, t))
+    mu = rng.uniform(0.5, 1.5, size=m)
+    mu[0] = 0.0
+    mu /= mu.sum()
+    mu[0] = 1e-310
+    nu = rng.uniform(0.5, 1.5, size=t)
+    nu /= nu.sum()
+    for iters in (1, 3, 20, 200):
+        starved.clear()
+        plan = sinkhorn(logits, mu, nu, tau=tau, max_iters=iters, residual_tol=0.0)
+        ref = _log_reference_sinkhorn(logits, mu, nu, tau, iters)
+        assert starved.count(1) == iters - 1
+        assert np.isfinite(plan.plan).all()
+        assert np.abs(plan.plan - ref).max() <= 1e-7
+        # the starved row's own mass, which the absolute check cannot see
+        assert abs(plan.plan[0].sum() / ref[0].sum() - 1.0) <= 1e-9
 
 
 def test_criterion_6_mass_conservation():

@@ -19,6 +19,7 @@ from sfctok.errors import (
     LengthMismatch,
     NoValidSuperpoints,
     ParseError,
+    SfcTokError,
     UnsupportedProperty,
 )
 from sfctok.io import (
@@ -152,6 +153,48 @@ class TestPly:
         path = tmp_path / "d.ply"
         path.write_bytes(text.encode() + bytes(16))
         with pytest.raises(ParseError, match="duplicate"):
+            load_ply(path)
+
+
+    @staticmethod
+    def two_elements(binary, first, second):
+        """Vertices (1, 2, 3), (4, 5, 6) and one two-float ``camera`` row,
+        declared as elements ``first`` then ``second``."""
+        decl = {
+            "vertex": "element vertex 2\n"
+            "property float x\nproperty float y\nproperty float z\n",
+            "camera": "element camera 1\nproperty float a\nproperty float b\n",
+        }
+        rows = {"vertex": [1, 2, 3, 4, 5, 6], "camera": [9, 9]}
+        header = (
+            f"ply\nformat {'binary_little_endian' if binary else 'ascii'} 1.0\n"
+            + decl[first] + decl[second] + "end_header\n"
+        ).encode()
+        values = rows[first] + rows[second]
+        if binary:
+            return header + np.array(values, dtype="<f4").tobytes()
+        return header + " ".join(map(str, values)).encode() + b"\n"
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_element_before_vertex_rejected(self, tmp_path, binary):
+        # its data used to be read as the first vertex coordinates
+        path = tmp_path / "e.ply"
+        path.write_bytes(self.two_elements(binary, "camera", "vertex"))
+        with pytest.raises(UnsupportedProperty, match="element camera before"):
+            load_ply(path)
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_element_after_vertex_loads(self, tmp_path, binary):
+        path = tmp_path / "e.ply"
+        path.write_bytes(self.two_elements(binary, "vertex", "camera"))
+        assert np.array_equal(load_ply(path).positions, [[1, 2, 3], [4, 5, 6]])
+
+    def test_second_vertex_element_rejected(self, tmp_path):
+        # its count and properties used to replace and extend the first's
+        path = tmp_path / "e.ply"
+        data = self.two_elements(False, "vertex", "camera")
+        path.write_bytes(data.replace(b"element camera", b"element vertex"))
+        with pytest.raises(ParseError, match="more than one vertex element"):
             load_ply(path)
 
 
@@ -438,8 +481,61 @@ def _token_file(tokens, action, part, dtype, cut):
     return _cut(b"".join(parts.values()), action, cut)
 
 
+# Header edits that mis-declare a PLY written by save_ply (6 vertices): a
+# wrong or malformed count, a changed, dropped, unknown or list-typed
+# property, the other format, an element before or after the vertex element,
+# and no magic line.
+PLY_HEADER_EDITS = [
+    (b"element vertex 6\n", b"element vertex 7\n"),
+    (b"element vertex 6\n", b"element vertex 5\n"),
+    (b"element vertex 6\n", b"element vertex 6e0\n"),
+    (b"property float x\n", b"property double x\n"),
+    (b"property float z\n", b""),
+    (b"property uchar red\n", b"property list uchar int red\n"),
+    (b"property uchar blue\n", b"property half blue\n"),
+    (b" ascii ", b" binary_little_endian "),
+    (b" binary_little_endian ", b" ascii "),
+    (b"element vertex", b"element camera 1\nproperty float a\nelement vertex"),
+    (b"end_header\n", b"element face 1\nproperty list uchar int idx\nend_header\n"),
+    (b"ply\n", b""),
+]
+
+
+def _ply_file(path, binary, action, pick, cut):
+    """A 6-point PLY as save_ply writes it, then damaged by ``action``; also
+    the undamaged bytes and the positions written."""
+    cloud = make_cloud(np.random.Generator(np.random.PCG64(3)), n=6)
+    if action in ("nan", "inf"):
+        cloud.positions.flat[pick % 18] = np.nan if action == "nan" else np.inf
+    save_ply(path, cloud, binary=binary)
+    intact = path.read_bytes()
+    raw = intact
+    if action == "header":
+        raw = raw.replace(*PLY_HEADER_EDITS[pick % len(PLY_HEADER_EDITS)], 1)
+    path.write_bytes(_cut(raw, action, cut))
+    return intact, cloud.positions
+
+
+def _label_file(binary, action, pick, cut):
+    """Eight labels with two sentinels, as text lines or binary i32, then
+    emptied, made all-sentinel, given a stray byte, or cut."""
+    raw = np.array([3, 3, -1, 7, 0, 7, 3, -1])
+    if action == "sentinel":
+        raw[:] = -1
+    if binary:
+        data = raw.astype("<i4").tobytes()
+    else:
+        data = "\n".join(map(str, raw)).encode() + b"\n"
+    if action == "empty":
+        return b""
+    if action == "stray":
+        at = pick % (len(data) + 1)
+        return data[:at] + [b"x", b"-", b"9", b" ", b"\xff"][pick % 5] + data[at:]
+    return _cut(data, action, cut)
+
+
 class TestFuzzBoundary:
-    """Damaged weight and token files raise the typed error, nothing else."""
+    """Damaged input files raise a typed error, nothing else."""
 
     ACTIONS = st.sampled_from(["truncate", "splice", "dtype", "nan", "drop", "none"])
     DTYPES = st.sampled_from(
@@ -485,6 +581,45 @@ class TestFuzzBoundary:
         except ParseError:
             return
         assert got.feats.shape == (4, 6) and got.centers.shape == (4, 3)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        binary=st.booleans(),
+        action=st.sampled_from(["truncate", "splice", "header", "nan", "inf", "none"]),
+        pick=st.integers(0, 200),
+        cut=st.integers(0, 400),
+    )
+    def test_load_ply(self, tmp_path_factory, binary, action, pick, cut):
+        path = tmp_path_factory.mktemp("fuzz") / "p.ply"
+        intact, positions = _ply_file(path, binary, action, pick, cut)
+        try:
+            cloud = load_ply(path)
+        except SfcTokError:
+            return
+        assert np.isfinite(cloud.positions).all() and np.isfinite(cloud.features).all()
+        assert cloud.features.shape[0] == cloud.n_points
+        if path.read_bytes() == intact:  # stored as float32 or 9 digits
+            assert np.allclose(cloud.positions, positions, rtol=1e-7, atol=0.0)
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        binary=st.booleans(),
+        action=st.sampled_from(["truncate", "splice", "stray", "empty", "sentinel", "none"]),
+        pick=st.integers(0, 100),
+        cut=st.integers(0, 40),
+        n_points=st.integers(0, 9),
+    )
+    def test_load_labels(self, tmp_path_factory, binary, action, pick, cut, n_points):
+        path = tmp_path_factory.mktemp("fuzz") / "labels"
+        path.write_bytes(_label_file(binary, action, pick, cut))
+        try:
+            labels = load_labels(path, n_points)
+        except SfcTokError:
+            return
+        assert labels.shape == (n_points,) and labels.dtype == np.int64
+        used = np.unique(labels[labels >= 0])
+        assert (labels >= -1).all() and np.array_equal(used, np.arange(used.size))
+        assert used.size > 0
 
 
 class TestConfig:

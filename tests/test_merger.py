@@ -1,5 +1,7 @@
 """Tests for graph smoothing, spectral embedding, Sinkhorn, and pooling."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.special
@@ -84,8 +86,8 @@ class TestSpectralEmbed:
         y += 1e-9 * rng.normal(size=y.shape)
         assert y.shape[0] > DENSE_SVD_ROWS
         got = spectral_embed(y, r=8)
-        u, s, vt = np.linalg.svd(y, full_matrices=False)
-        u, _ = _fix_signs(u[:, :8], vt[:8])
+        u, s, _ = np.linalg.svd(y, full_matrices=False)
+        u = _fix_signs(u[:, :8])
         assert np.allclose(got.singular_values, s[:8], rtol=1e-8)
         assert np.allclose(got.z_emb, u * s[:8], atol=1e-6)
 
@@ -197,6 +199,13 @@ class TestImportance:
         w = seeded_init(5, [(8, 4), (4, 1)])
         assert np.array_equal(importance_scores(s, w), importance_scores(s, w))
 
+    @pytest.mark.parametrize("shapes", [[(8, 4), (4, 5)], [(8, 2)], []])
+    def test_needs_one_output(self, rng, shapes):
+        # column 0 of a wider MLP used to be read as the score
+        w = seeded_init(5, shapes) if shapes else SeededWeights((), np.zeros(0))
+        with pytest.raises(DimensionMismatch, match="fan-out 1"):
+            importance_scores(make_tokens(rng, m=10, d=8), w)
+
 
 class TestProjectLogits:
     def test_matmul_oracle(self, rng):
@@ -209,6 +218,13 @@ class TestProjectLogits:
     def test_width_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
             project_logits(rng.normal(size=(9, 5)), seeded_init(2, [(4, 6)]))
+
+    @pytest.mark.parametrize("shapes", [[(4, 6), (6, 6)], []])
+    def test_needs_one_layer(self, rng, shapes):
+        # layer 0 of a deeper projection used to be applied alone
+        w = seeded_init(2, shapes) if shapes else SeededWeights((), np.zeros(0))
+        with pytest.raises(DimensionMismatch, match="exactly one"):
+            project_logits(rng.normal(size=(9, 4)), w)
 
 
 class TestSinkhorn:
@@ -297,11 +313,12 @@ class TestSinkhorn:
             sinkhorn(logits, np.full(5, 1 / 5), np.full(3, 1 / 3), tau=0.5)
 
     def test_overflowing_logits_over_tau(self):
-        # finite logits whose quotient by tau overflows float64: the row
-        # shift turns inf - inf into NaN, and the plan check catches it
+        # finite logits whose quotient by tau overflows float64 are named as
+        # such before any sweep, without a numpy warning
         logits = np.array([[1e300, 0.0], [0.0, 1e300], [0.5, 0.5]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteKernel, match="transport plan overflowed"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteKernel, match=r"logits / tau overflows"):
                 sinkhorn(logits, np.full(3, 1 / 3), np.full(2, 1 / 2), tau=1e-10,
                          max_iters=3)
 
@@ -347,10 +364,9 @@ class TestSoftPool:
         p[2, 1] = p[3, 1] = 0.25
         from sfctok.merger import TransportPlan
 
-        plan = TransportPlan(plan=p, mu=np.full(4, 0.25), nu=np.full(2, 0.5),
-                             iterations=0, residual=0.0)
+        plan = TransportPlan(plan=p, iterations=0, residual=0.0, converged=True)
         # dividing each output row by its column marginal gives the mean
-        pooled = soft_pool(plan, s).feats / plan.nu[:, None]
+        pooled = soft_pool(plan, s).feats / p.sum(axis=0)[:, None]
         assert np.allclose(pooled[0], s.feats[:2].mean(axis=0))
         assert np.allclose(pooled[1], s.feats[2:].mean(axis=0))
 
