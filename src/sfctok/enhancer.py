@@ -9,8 +9,13 @@ The mix is linear along the token axis and the same for every channel, so
 it is an n x n matrix acting on the sequence. ``_mix_operator`` is its one
 definition: it runs the window loop on identity windows and returns the
 requested rows. The sequence itself enters only matrix products, and every
-interior stride block of rows shares one banded operator, applied by one
+interior stride block of rows shares one banded operator, applied by a
 batched product over a strided view of the sequence.
+
+``enhance`` builds the operators once and keeps one K x d sum. Each curve
+walks its sequence in tiles of stride blocks: a tile gathers the token rows
+it needs into a reused buffer, is mixed there, and is added back into the
+sum at the curve's rows, so no per-curve K x d copy is made.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .core import TokenMatrix
 from .errors import ConfigError, CurveLengthMismatch, CurveNotPermutation
 
 ZERO_WEIGHT_EPS = 1e-12
+TILE_BLOCKS = 64  # interior stride blocks per tile: 1024 rows at stride 16
 
 
 def lowpass_gate(window: int, k_low: int):
@@ -113,89 +119,117 @@ def _mix_operator(n, cfg: EnhancerConfig, lo, hi):
     return out
 
 
-def windowed_mix(seq, cfg: EnhancerConfig, out=None):
-    """Mix a K x d sequence window by window and overlap-add.
+def _mix_operators(k, cfg: EnhancerConfig):
+    """The operators ``windowed_mix`` applies to a length-k sequence.
 
-    The result is ``_mix_operator(K, cfg, 0, K) @ seq``: the squared-Hann
-    overlap-add of the gated windows, with the plain average where that
-    weight vanishes, so an all-ones gate is exactly the identity and an
-    all-zeros gate annihilates.
+    Below span = (m-1)R + L rows, the k x k operator. Otherwise the head rows
+    stacked on the R x span interior block operator, and the tail operator.
+    """
+    L, R = cfg.window, cfg.stride
+    head = (-(-L // R) - 1) * R
+    span = head + L
+    if k < span:
+        return (_mix_operator(k, cfg, 0, k),)
+    tail = ((k - L) // R + 1) * R
+    t0 = -(-(tail - L + 1) // R) * R  # start of the first window covering row tail
+    return (
+        _mix_operator(span, cfg, 0, head + R),
+        _mix_operator(k - t0, cfg, tail - t0, k - t0),
+    )
+
+
+def _add_rows(out, rows, y):
+    """out[rows] += y for distinct rows: take the rows, add, put them back."""
+    y += np.take(out, rows, axis=0, mode="clip")
+    out[rows] = y
+
+
+def windowed_mix(seq, cfg: EnhancerConfig, order=None, out=None, ops=None):
+    """Add the windowed mix of ``seq[order]`` into ``out[order]``; return ``out``.
+
+    The mix of a K x d sequence is ``_mix_operator(K, cfg, 0, K) @ seq``: the
+    squared-Hann overlap-add of the gated windows, with the plain average
+    where that weight vanishes, so an all-ones gate is exactly the identity
+    and an all-zeros gate annihilates.
+
+    ``order`` (default: the identity) must permute the K rows. ``out``
+    (default: zeros, so that ``windowed_mix(seq, cfg)`` is the mix of
+    ``seq``) is a float64 K x d array that does not overlap ``seq``. ``ops``
+    is ``_mix_operators(K, cfg)``, built here unless given.
 
     With m = ceil(L/R), every row from (m-1)R up to the first clipped
     window's start is covered by m full windows at the same offsets, so each
     stride block of those rows applies the same R x ((m-1)R + L) operator
-    to the input span that covers it. Those blocks come from one batched
-    product with a strided view of the spans; the head and tail rows come
-    from small operators over the input rows that reach them.
-
-    ``out``, if given, is a C-contiguous float64 K x d array that does not
-    overlap ``seq``; the result is written there and returned.
+    to the input span that covers it. The blocks are walked in tiles of
+    ``TILE_BLOCKS``: a tile gathers the input rows it needs into one reused
+    buffer, mixes its blocks by one batched product over a strided view of
+    that buffer, and adds them into ``out``. The head and tail rows come
+    from small operators over the input rows that reach them. No K x d array
+    is made besides ``out``.
     """
-    seq = np.ascontiguousarray(seq, dtype=np.float64)
+    seq = np.asarray(seq, dtype=np.float64)
     k, d = seq.shape
-    if out is None:
-        out = np.empty_like(seq)
-    L, R = cfg.window, cfg.stride
-    m = -(-L // R)
-    head = (m - 1) * R
-    span = head + L
-    if k < span:
-        return np.matmul(_mix_operator(k, cfg, 0, k), seq, out=out)
+    order = np.arange(k) if order is None else order
+    out = np.zeros((k, d)) if out is None else out
+    ops = _mix_operators(k, cfg) if ops is None else ops
+    # mode="clip" skips the bounds check: order permutes 0..K-1
+    if len(ops) == 1:
+        _add_rows(out, order, ops[0] @ np.take(seq, order, axis=0, mode="clip"))
+        return out
 
-    n_full = (k - L) // R + 1
-    n_blocks = n_full - m + 1
-    tail = n_full * R
-    t0 = -(-(tail - L + 1) // R) * R  # start of the first window covering row tail
-    ops = _mix_operator(span, cfg, 0, head + R)
-    np.matmul(ops[:head], seq[:span], out=out[:head])
-    spans = np.lib.stride_tricks.sliding_window_view(seq, span, axis=0)[::R]
-    np.matmul(
-        ops[head:],
-        spans[:n_blocks].transpose(0, 2, 1),
-        out=out[head:tail].reshape(n_blocks, R, d),
-    )
-    np.matmul(
-        _mix_operator(k - t0, cfg, tail - t0, k - t0), seq[t0:], out=out[tail:]
-    )
+    body, tail_op = ops
+    R = cfg.stride
+    head = body.shape[0] - R
+    span = body.shape[1]
+    n_blocks = (k - span) // R + 1
+    tail = head + n_blocks * R
+    tile = min(TILE_BLOCKS, n_blocks)
+    x, y = np.empty(((tile - 1) * R + span, d)), np.empty((tile * R, d))
+    head_rows = body[:head] @ np.take(seq, order[:span], axis=0, mode="clip")
+    _add_rows(out, order[:head], head_rows)
+    for b0 in range(0, n_blocks, tile):
+        nb = min(tile, n_blocks - b0)
+        lo = b0 * R
+        xs, ys = x[: (nb - 1) * R + span], y[: nb * R]
+        np.take(seq, order[lo : lo + xs.shape[0]], axis=0, out=xs, mode="clip")
+        spans = np.lib.stride_tricks.sliding_window_view(xs, span, axis=0)[::R]
+        np.matmul(body[head:], spans.transpose(0, 2, 1), out=ys.reshape(nb, R, d))
+        _add_rows(out, order[head + lo : head + lo + nb * R], ys)
+    tail_rows = tail_op @ np.take(seq, order[k - tail_op.shape[1] :], axis=0, mode="clip")
+    _add_rows(out, order[tail:], tail_rows)
     return out
 
 
-def _inverse(perm, k, index):
-    """Inverse of curve ``index``; raises unless it permutes 0..k-1."""
+def _checked(perm, k, index):
+    """Curve ``index`` as an array; raises unless it permutes 0..k-1."""
     perm = np.asarray(perm)
     if perm.shape != (k,):
         raise CurveLengthMismatch(
             f"curve {index} of shape {perm.shape} applied to {k} tokens"
         )
-    inv = np.full(k, -1, dtype=np.int64)
+    seen = np.zeros(k, dtype=bool)
     if perm.dtype.kind in "iu" and (k == 0 or 0 <= perm.min() <= perm.max() < k):
-        inv[perm] = np.arange(k)
-    if (inv < 0).any():  # an entry out of range, or a token repeated and one missed
+        seen[perm] = True
+    if not seen.all():  # an entry out of range, or a token repeated and one missed
         raise CurveNotPermutation(f"curve {index} is not a permutation of 0..{k - 1}")
-    return inv
+    return perm
 
 
 def enhance(tokens: TokenMatrix, cfg: EnhancerConfig) -> TokenMatrix:
     """Residual multi-curve enhancement: S + mean_over_curves(mix(S[perm])).
 
-    Every curve must permute the K tokens. Each curve's gather, mix and
-    scatter back run through two reused K x d buffers into one sum, added
-    in curve order.
+    Every curve must permute the K tokens. The mixing operators are built
+    once, and each curve's mix is added into one K x d sum, in curve order.
     """
     if not cfg.curves:
         raise CurveLengthMismatch("config carries no curve orders")
     feats = np.asarray(tokens.feats, dtype=np.float64)
     k = tokens.n_tokens
-    inverses = [_inverse(perm, k, i) for i, perm in enumerate(cfg.curves)]
-    seq = np.empty(feats.shape)
-    mixed = np.empty(feats.shape)
+    curves = [_checked(perm, k, i) for i, perm in enumerate(cfg.curves)]
+    ops = _mix_operators(k, cfg)
     acc = np.zeros(feats.shape)
-    # mode="clip" skips the bounds check that _inverse has already made
-    for perm, inv in zip(cfg.curves, inverses):
-        np.take(feats, perm, axis=0, out=seq, mode="clip")
-        windowed_mix(seq, cfg, out=mixed)
-        np.take(mixed, inv, axis=0, out=seq, mode="clip")
-        acc += seq
-    acc /= len(cfg.curves)
+    for perm in curves:
+        windowed_mix(feats, cfg, perm, acc, ops)
+    acc /= len(curves)
     acc += feats
     return TokenMatrix(feats=acc, centers=tokens.centers)

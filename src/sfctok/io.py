@@ -95,18 +95,20 @@ def _parse_ply_header(data):
         raise UnsupportedProperty(f"format {fmt}")
     if n_vertices is None:
         raise ParseError("no vertex element", offset=0)
-    return fmt, n_vertices, props, body_off
+    # in_vertex: no element follows vertex, so the body holds only its data
+    return fmt, n_vertices, props, body_off, in_vertex
 
 
 def load_ply(path) -> PointCloud:
     """Read an ASCII or binary-little-endian PLY with x,y,z and optional
     red,green,blue (u8, scaled to [0,1]) and nx,ny,nz properties.
 
-    Missing colors fill 0.5.
+    Missing colors fill 0.5. When ``vertex`` is the last element, the body
+    must hold exactly its data.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    fmt, n, props, body_off = _parse_ply_header(data)
+    fmt, n, props, body_off, exact = _parse_ply_header(data)
     names = [p for p, _ in props]
     for axis in ("x", "y", "z"):
         if axis not in names:
@@ -115,7 +117,7 @@ def load_ply(path) -> PointCloud:
     if fmt == "ascii":
         rows = data[body_off:].decode("ascii", errors="replace").split()
         expected = n * len(props)
-        if len(rows) < expected:
+        if len(rows) < expected or (exact and len(rows) > expected):
             raise ParseError(
                 f"expected {expected} ascii values, got {len(rows)}",
                 offset=body_off,
@@ -130,10 +132,11 @@ def load_ply(path) -> PointCloud:
             [(name, "<" + _PLY_TYPES[typ][0]) for name, typ in props]
         )
         needed = n * dtype.itemsize
-        if len(data) - body_off < needed:
+        payload = len(data) - body_off
+        if payload < needed or (exact and payload > needed):
             raise ParseError(
-                f"payload truncated: need {needed} bytes",
-                offset=body_off + (len(data) - body_off),
+                f"payload of {payload} bytes, vertex data needs {needed}",
+                offset=body_off + min(payload, needed),
             )
         table = np.frombuffer(data, dtype=dtype, count=n, offset=body_off)
         cols = {name: table[name].astype(np.float64) for name, _ in props}
@@ -189,7 +192,10 @@ def _looks_like_text(data):
 
 def load_labels(path, n_points):
     """Read length-N superpoint labels (text lines or binary i32), compact
-    them to dense {0..M-1} with -1 kept as the sentinel."""
+    them to dense {0..M-1} with -1 kept as the sentinel.
+
+    A label below -1 raises ``ParseError``.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if _looks_like_text(data):
@@ -201,6 +207,10 @@ def load_labels(path, n_points):
         if len(data) % 4 != 0:
             raise ParseError("binary label file not a multiple of 4 bytes", offset=len(data))
         raw = np.frombuffer(data, dtype="<i4").astype(np.int64)
+    below = np.flatnonzero(raw < -1)
+    if below.size:
+        i = below[0]
+        raise ParseError(f"label {raw[i]} of point {i} is below the sentinel -1")
     if raw.shape[0] != n_points:
         raise LengthMismatch(f"{raw.shape[0]} labels for {n_points} points")
     valid = raw >= 0

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sfctok.core import TokenMatrix
 from sfctok.enhancer import (
+    TILE_BLOCKS,
     EnhancerConfig,
     enhance,
     lowpass_gate,
@@ -253,7 +256,7 @@ def naive_enhance(feats, cfg):
 
 
 class TestEnhanceOracle:
-    """Reused buffers against fresh arrays per curve, bit for bit."""
+    """Tiled gather, mix and add against fresh arrays per curve, bit for bit."""
 
     # window 16, stride 4: the banded path needs span = 12 + 16 = 28 rows
     CFG = dict(window=16, stride=4, gate=lowpass_gate(16, 3))
@@ -271,13 +274,70 @@ class TestEnhanceOracle:
         got = enhance(TokenMatrix(feats=feats, centers=centers), cfg).feats
         assert np.array_equal(got, naive_enhance(feats, cfg))
 
+    @pytest.mark.parametrize("window,stride", [(16, 4), (16, 16), (16, 1), (18, 4)])
+    @pytest.mark.parametrize(
+        "k_of",
+        [
+            lambda span, tile: span - 1,  # one operator for the whole sequence
+            lambda span, tile: span,  # head, one interior block, tail
+            lambda span, tile: span + 1,
+            lambda span, tile: span + tile - 1,  # the blocks fill one tile
+            lambda span, tile: span + tile,  # one block past it
+            lambda span, tile: span + tile + 1,
+            lambda span, tile: span + 3 * tile + 37,  # several tiles and a partial one
+        ],
+        ids=["span-1", "span", "span+1", "tile-1", "tile", "tile+1", "tiles+partial"],
+    )
+    @pytest.mark.parametrize("fortran_order", [False, True])
+    def test_tiles_match_fresh_arrays(self, rng, window, stride, k_of, fortran_order):
+        # stride == window leaves no head; stride 1 gives one-row blocks;
+        # window 18 is not a multiple of stride 4
+        span = (-(-window // stride) - 1) * stride + window
+        k = k_of(span, TILE_BLOCKS * stride)
+        feats = rng.normal(size=(k, 3))
+        if fortran_order:
+            feats = np.asfortranarray(feats)
+        centers = rng.uniform(size=(k, 3))
+        cfg = EnhancerConfig(
+            window=window,
+            stride=stride,
+            gate=lowpass_gate(window, 3),
+            curves=tuple(serialize_all(centers, b=8)),
+        )
+        got = enhance(TokenMatrix(feats=feats, centers=centers), cfg).feats
+        assert np.array_equal(got, naive_enhance(feats, cfg))
+
     @pytest.mark.parametrize("k", [10, 27, 28, 29, 101])
     def test_windowed_mix_into_out(self, rng, k):
+        # out[order] += mix(seq[order]), bit for bit, into the array given
         seq = rng.normal(size=(k, 5))
+        order = rng.permutation(k)
+        base = rng.normal(size=(k, 5))
         cfg = EnhancerConfig(**self.CFG)
-        out = np.full((k, 5), np.nan)
-        assert windowed_mix(seq, cfg, out=out) is out
-        assert np.array_equal(out, windowed_mix(seq, cfg))
+        out = base.copy()
+        assert windowed_mix(seq, cfg, order, out) is out
+        want = base.copy()
+        want[order] += windowed_mix(seq[order], cfg)
+        assert np.array_equal(out, want)
+
+
+def test_enhance_holds_one_sum():
+    # tracemalloc sees numpy's buffers: besides the K x d result, enhance
+    # keeps only tile-sized buffers and small operators
+    k, d = 20_000, 32
+    rng = np.random.default_rng(3)
+    tokens = TokenMatrix(feats=rng.normal(size=(k, d)), centers=np.zeros((k, 3)))
+    curves = tuple(rng.permutation(k) for _ in range(4))
+    cfg = EnhancerConfig(window=64, stride=16, gate=lowpass_gate(64, 8), curves=curves)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        out = enhance(tokens, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert out.feats.shape == (k, d)
+    assert peak < 1.5 * k * d * 8
 
 
 class TestConfigErrors:

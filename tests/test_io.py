@@ -198,6 +198,25 @@ class TestPly:
             load_ply(path)
 
 
+    @pytest.mark.parametrize(
+        "binary, edit",
+        [
+            (False, lambda d: d.replace(b" ascii ", b" binary_little_endian ")),
+            (True, lambda d: d + b"\x00"),
+            (False, lambda d: d + b"7\n"),
+        ],
+        ids=["ascii_declared_binary", "binary_extra_byte", "ascii_extra_value"],
+    )
+    def test_undeclared_body_data_rejected(self, rng, tmp_path, binary, edit):
+        # with vertex the last element, the body is exactly the vertex data;
+        # read as binary, the text of 6 vertices used to load as positions
+        path = tmp_path / "u.ply"
+        save_ply(path, make_cloud(rng, n=6), binary=binary)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ParseError):
+            load_ply(path)
+
+
 class TestLabels:
     def test_text_labels_compacted(self, tmp_path):
         path = tmp_path / "lab.txt"
@@ -230,6 +249,17 @@ class TestLabels:
         path.write_text(text)
         with pytest.raises(ParseError):
             load_labels(path, 2)
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_label_below_sentinel_rejected(self, tmp_path, binary):
+        # -5 used to load as the sentinel
+        path = tmp_path / "lab"
+        if binary:
+            path.write_bytes(np.array([3, -5, 7], dtype="<i4").tobytes())
+        else:
+            path.write_text("3 -5 7\n")
+        with pytest.raises(ParseError, match="label -5 of point 1"):
+            load_labels(path, 3)
 
     def test_binary_misaligned(self, tmp_path):
         path = tmp_path / "odd.bin"
