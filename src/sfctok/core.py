@@ -17,7 +17,9 @@ from .errors import (
     EmptyCloud,
     EmptySuperpoint,
     FeatureRowMismatch,
+    InvalidPartition,
     InvalidShape,
+    LengthMismatch,
     NonFiniteCoordinate,
     NonFiniteFeature,
 )
@@ -124,13 +126,34 @@ def validate_cloud(cloud: PointCloud) -> None:
         raise NonFiniteCoordinate(row)
     if feat.ndim != 2 or feat.shape[0] != pos.shape[0]:
         raise FeatureRowMismatch(
-            f"{pos.shape[0]} positions but {feat.shape[0]} feature rows"
+            f"{pos.shape[0]} positions but features of shape {feat.shape}"
         )
     if feat.shape[1] < 1:
         raise FeatureRowMismatch("feature width must be >= 1")
     row = _first_non_finite_row(feat)
     if row is not None:
         raise NonFiniteFeature(row)
+
+
+def validate_partition(partition: SuperpointPartition, n_points) -> None:
+    """Check that ``partition`` gives each of ``n_points`` points an integer
+    label in [-1, M-1] and has M finite (M, 3) centers; raise one typed error."""
+    labels, centers = np.asarray(partition.labels), np.asarray(partition.centers)
+    if labels.ndim != 1 or labels.dtype.kind not in "iu":
+        raise InvalidPartition(
+            f"partition labels are {labels.dtype} {labels.shape}, not 1-D integers"
+        )
+    if labels.size != n_points:
+        raise LengthMismatch(
+            f"partition has {labels.size} labels for a {n_points}-point scene"
+        )
+    if centers.ndim != 2 or centers.shape[1] != 3 or not np.isfinite(centers).all():
+        raise InvalidPartition(
+            f"partition centers of shape {centers.shape} are not finite (M, 3)"
+        )
+    lo, hi, m = labels.min(), labels.max(), centers.shape[0]
+    if lo < SENTINEL or hi >= m:
+        raise InvalidPartition(f"partition labels span [{lo}, {hi}], not [-1, {m - 1}]")
 
 
 def _first_non_finite_row(a):

@@ -6,16 +6,14 @@ transformed, and reassembled by squared-Hann overlap-add. The per-curve
 results are fused by uniform averaging and added back as a residual.
 
 The mix is linear along the token axis and the same for every channel, so
-it is an n x n matrix acting on the sequence. ``_mix_operator`` is its one
-definition: it runs the window loop on identity windows and returns the
-requested rows. The sequence itself enters only matrix products, and every
-interior stride block of rows shares one banded operator, applied by a
-batched product over a strided view of the sequence.
-
-``enhance`` builds the operators once and keeps one K x d sum. Each curve
-walks its sequence in tiles of stride blocks: a tile gathers the token rows
-it needs into a reused buffer, is mixed there, and is added back into the
-sum at the curve's rows, so no per-curve K x d copy is made.
+it is a K x K matrix acting on the sequence; ``_mix_operator`` builds its
+rows from identity windows. ``_mix_operators`` cuts it into pieces that
+carry their own row offsets: edges, a small operator each for the head and
+tail rows (or the whole matrix on a short sequence), and the interior, one
+banded operator shared by every stride block between them. ``enhance``
+builds the pieces once and keeps one K x d sum; each curve adds its edges,
+then its interior blocks tile by tile through a reused buffer, into that
+sum at the curve's rows.
 """
 
 from __future__ import annotations
@@ -80,13 +78,6 @@ def squared_hann(window: int):
     return h * h
 
 
-def _mix_window(window, gate):
-    """Gate one window (any length) in its rFFT spectrum."""
-    n = window.shape[0]
-    spectrum = rfft_forward(window, axis=0) * gate[: n // 2 + 1, None]
-    return rfft_inverse(spectrum, n=n, axis=0)
-
-
 def _mix_operator(n, cfg: EnhancerConfig, lo, hi):
     """Rows lo..hi-1 of the n x n matrix that windowed-mixes a length-n sequence.
 
@@ -95,7 +86,7 @@ def _mix_operator(n, cfg: EnhancerConfig, lo, hi):
     the gated rFFT round trip of the identity, placed at its columns and
     weighted by squared Hann; a row is divided by its total weight, or takes
     the plain average of its windows where that weight vanishes (window
-    endpoints with no overlap).
+    endpoints with no overlap). Only windows reaching rows lo..hi-1 are built.
     """
     L, R = cfg.window, cfg.stride
     w = squared_hann(L)
@@ -106,7 +97,9 @@ def _mix_operator(n, cfg: EnhancerConfig, lo, hi):
     first = max(0, -(-(lo - L + 1) // R))
     for s0 in range(first * R, hi, R):
         end = min(s0 + L, n)
-        mixed = _mix_window(np.eye(end - s0), cfg.gate)
+        spectrum = rfft_forward(np.eye(end - s0), axis=0)
+        spectrum *= cfg.gate[: (end - s0) // 2 + 1, None]
+        mixed = rfft_inverse(spectrum, n=end - s0, axis=0)
         a, b = max(s0, lo), min(end, hi)
         part = mixed[a - s0 : b - s0]
         acc[a - lo : b - lo, s0:end] += part * w[a - s0 : b - s0, None]
@@ -120,22 +113,28 @@ def _mix_operator(n, cfg: EnhancerConfig, lo, hi):
 
 
 def _mix_operators(k, cfg: EnhancerConfig):
-    """The operators ``windowed_mix`` applies to a length-k sequence.
+    """The pieces of the mix of a length-k sequence x: ``(edges, interior)``.
 
-    Below span = (m-1)R + L rows, the k x k operator. Otherwise the head rows
-    stacked on the R x span interior block operator, and the tail operator.
+    An edge ``(op, row, col)`` gives output rows ``row : row + op.shape[0]``
+    as ``op @ x[col : col + op.shape[1]]``. The interior ``(op, row,
+    n_blocks)`` holds the R x span operator, span = (m-1)R + L with
+    m = ceil(L/R), that every stride block covered by m full windows shares:
+    block b gives output rows ``row + bR : row + (b+1)R`` as
+    ``op @ x[bR : bR + span]``. The edges give the head rows before the
+    blocks and the tail rows after them. Below span rows the interior is
+    None and one edge holds the k x k operator.
     """
     L, R = cfg.window, cfg.stride
     head = (-(-L // R) - 1) * R
     span = head + L
     if k < span:
-        return (_mix_operator(k, cfg, 0, k),)
-    tail = ((k - L) // R + 1) * R
+        return ((_mix_operator(k, cfg, 0, k), 0, 0),), None
+    n_blocks = (k - span) // R + 1
+    tail = head + n_blocks * R
     t0 = -(-(tail - L + 1) // R) * R  # start of the first window covering row tail
-    return (
-        _mix_operator(span, cfg, 0, head + R),
-        _mix_operator(k - t0, cfg, tail - t0, k - t0),
-    )
+    body = _mix_operator(span, cfg, 0, head + R)
+    tail_op = _mix_operator(k - t0, cfg, tail - t0, k - t0)
+    return ((body[:head], 0, 0), (tail_op, tail, t0)), (body[head:], head, n_blocks)
 
 
 def _add_rows(out, rows, y):
@@ -157,46 +156,35 @@ def windowed_mix(seq, cfg: EnhancerConfig, order=None, out=None, ops=None):
     ``seq``) is a float64 K x d array that does not overlap ``seq``. ``ops``
     is ``_mix_operators(K, cfg)``, built here unless given.
 
-    With m = ceil(L/R), every row from (m-1)R up to the first clipped
-    window's start is covered by m full windows at the same offsets, so each
-    stride block of those rows applies the same R x ((m-1)R + L) operator
-    to the input span that covers it. The blocks are walked in tiles of
-    ``TILE_BLOCKS``: a tile gathers the input rows it needs into one reused
-    buffer, mixes its blocks by one batched product over a strided view of
-    that buffer, and adds them into ``out``. The head and tail rows come
-    from small operators over the input rows that reach them. No K x d array
-    is made besides ``out``.
+    Each edge operator is applied to the input rows it reads and added into
+    ``out`` at the rows it writes. The interior blocks are walked in tiles
+    of ``TILE_BLOCKS``: a tile gathers the input rows it needs into one
+    reused buffer, mixes its blocks by one batched product over a strided
+    view of that buffer, and adds them into ``out``. No K x d array is made
+    besides ``out``.
     """
     seq = np.asarray(seq, dtype=np.float64)
     k, d = seq.shape
     order = np.arange(k) if order is None else order
     out = np.zeros((k, d)) if out is None else out
-    ops = _mix_operators(k, cfg) if ops is None else ops
+    edges, interior = _mix_operators(k, cfg) if ops is None else ops
     # mode="clip" skips the bounds check: order permutes 0..K-1
-    if len(ops) == 1:
-        _add_rows(out, order, ops[0] @ np.take(seq, order, axis=0, mode="clip"))
+    for op, row, col in edges:
+        x = np.take(seq, order[col : col + op.shape[1]], axis=0, mode="clip")
+        _add_rows(out, order[row : row + op.shape[0]], op @ x)
+    if interior is None:
         return out
-
-    body, tail_op = ops
-    R = cfg.stride
-    head = body.shape[0] - R
-    span = body.shape[1]
-    n_blocks = (k - span) // R + 1
-    tail = head + n_blocks * R
+    body, row, n_blocks = interior
+    R, span = body.shape
     tile = min(TILE_BLOCKS, n_blocks)
     x, y = np.empty(((tile - 1) * R + span, d)), np.empty((tile * R, d))
-    head_rows = body[:head] @ np.take(seq, order[:span], axis=0, mode="clip")
-    _add_rows(out, order[:head], head_rows)
-    for b0 in range(0, n_blocks, tile):
-        nb = min(tile, n_blocks - b0)
-        lo = b0 * R
+    for lo in range(0, n_blocks * R, tile * R):
+        nb = min(tile, n_blocks - lo // R)
         xs, ys = x[: (nb - 1) * R + span], y[: nb * R]
         np.take(seq, order[lo : lo + xs.shape[0]], axis=0, out=xs, mode="clip")
         spans = np.lib.stride_tricks.sliding_window_view(xs, span, axis=0)[::R]
-        np.matmul(body[head:], spans.transpose(0, 2, 1), out=ys.reshape(nb, R, d))
-        _add_rows(out, order[head + lo : head + lo + nb * R], ys)
-    tail_rows = tail_op @ np.take(seq, order[k - tail_op.shape[1] :], axis=0, mode="clip")
-    _add_rows(out, order[tail:], tail_rows)
+        np.matmul(body, spans.transpose(0, 2, 1), out=ys.reshape(nb, R, d))
+        _add_rows(out, order[row + lo : row + lo + nb * R], ys)
     return out
 
 

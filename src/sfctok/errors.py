@@ -103,6 +103,10 @@ class LengthMismatch(SfcTokError):
     pass
 
 
+class InvalidPartition(SfcTokError):
+    """Superpoint labels or centers that no stage can use."""
+
+
 class InvalidWeights(SfcTokError):
     """A weights file array that is missing or does not form a layer stack."""
 

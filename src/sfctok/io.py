@@ -186,8 +186,7 @@ def save_ply(path, cloud: PointCloud, binary=True):
 
 def _looks_like_text(data):
     sample = data[:4096]
-    allowed = set(b"0123456789-+ \t\r\n")
-    return len(sample) > 0 and all(byte in allowed for byte in sample)
+    return len(sample) > 0 and not sample.translate(None, b"0123456789-+ \t\r\n")
 
 
 def load_labels(path, n_points):

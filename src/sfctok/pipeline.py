@@ -15,8 +15,9 @@ from .core import (
     TokenMatrix,
     seeded_init,
     validate_cloud,
+    validate_partition,
 )
-from .errors import LengthMismatch, ShapeMismatch, StageError, SuggestLowerT
+from .errors import ShapeMismatch, StageError, SuggestLowerT
 
 
 @dataclass
@@ -125,17 +126,14 @@ def run_pipeline(
     subsampled) cloud. Labels passed in must align with the subsampled cloud;
     callers providing external labels should subsample beforehand.
 
-    The cloud, the partition's label count and the outer shapes of any
-    ``weights`` given are checked before any stage runs; bad input raises a
-    typed ``SfcTokError`` naming it.
+    The cloud, any ``partition`` given (label count, dtype and range, center
+    shape and values) and the outer shapes of any ``weights`` given are
+    checked before any stage runs; bad input raises a typed ``SfcTokError``
+    naming it.
     """
     validate_cloud(cloud)
-    n_scene = min(cloud.n_points, cfg.sample_n)
-    if partition is not None and partition.labels.shape[0] != n_scene:
-        raise LengthMismatch(
-            f"partition has {partition.labels.shape[0]} labels "
-            f"for a {n_scene}-point scene"
-        )
+    if partition is not None:
+        validate_partition(partition, min(cloud.n_points, cfg.sample_n))
     if weights is not None:
         weights.check(cloud.n_channels, cfg)
     timings = {}

@@ -14,6 +14,7 @@ from sfctok.config import PipelineConfig
 from sfctok import pipeline
 from sfctok.core import build_partition, seeded_init
 from sfctok.errors import (
+    InvalidPartition,
     LengthMismatch,
     NonFiniteCoordinate,
     NonFiniteFeature,
@@ -24,6 +25,7 @@ from sfctok.errors import (
 from sfctok.io import read_token_file, save_ply, save_weights
 from sfctok.pipeline import PipelineWeights, run_pipeline, subsample
 from sfctok.synth import make_scene
+from sfctok.tokenizer import voxel_superpoints
 
 SMALL = [
     "--sample-n", "3000",
@@ -121,6 +123,30 @@ class TestPipeline:
         partition = build_partition(labels, other.positions)
         with pytest.raises(LengthMismatch, match="2000 labels for a 3000-point"):
             run_pipeline(make_scene(3000, seed=3), cfg, partition=partition)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda p, m: {"labels": np.where(p.labels == 5, m, p.labels)},
+         r"partition labels span \[0, {m}\], not \[-1, {m1}\]"),
+        (lambda p, m: {"labels": np.where(p.labels == 5, -3, p.labels)},
+         r"partition labels span \[-3, {m1}\], not \[-1, {m1}\]"),
+        (lambda p, m: {"labels": p.labels[:, None]},
+         r"partition labels are int64 \(3000, 1\), not 1-D integers"),
+        (lambda p, m: {"labels": p.labels + 0.5},
+         r"partition labels are float64 \(3000,\), not 1-D integers"),
+        (lambda p, m: {"centers": p.centers[:, :2]},
+         r"partition centers of shape \({m}, 2\) are not finite \(M, 3\)"),
+        (lambda p, m: {"centers": np.where(np.arange(m)[:, None] == 7, np.nan, p.centers)},
+         r"partition centers of shape \({m}, 3\) are not finite \(M, 3\)"),
+    ], ids=["label_m", "label_below_sentinel", "labels_2d", "labels_float",
+            "centers_2_columns", "center_nan"])
+    def test_unusable_partition_rejected_at_entry(self, no_stage_runs, edit, match):
+        cloud = make_scene(3000, seed=3)
+        cfg = PipelineConfig(sample_n=3000, tokens=16, voxel_cell=0.5)
+        partition = voxel_superpoints(cloud, cfg.voxel_cell)
+        m = partition.n_superpoints
+        partition = dataclasses.replace(partition, **edit(partition, m))
+        with pytest.raises(InvalidPartition, match=match.format(m=m, m1=m - 1)):
+            run_pipeline(cloud, cfg, partition=partition)
 
     @pytest.mark.parametrize("name, shapes", [
         ("point_mlp", [(4, 32), (32, 32)]),  # fan-in is not the 3 channels

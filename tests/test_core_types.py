@@ -39,6 +39,12 @@ def test_feature_row_mismatch():
         validate_cloud(PointCloud(positions=np.zeros((3, 3)), features=np.ones((2, 1))))
 
 
+def test_one_dimensional_features_named():
+    cloud = PointCloud(positions=np.zeros((3, 3)), features=np.ones(3))
+    with pytest.raises(FeatureRowMismatch, match=r"features of shape \(3,\)"):
+        validate_cloud(cloud)
+
+
 def test_empty_cloud():
     with pytest.raises(EmptyCloud):
         validate_cloud(PointCloud(positions=np.zeros((0, 3)), features=np.ones((0, 1))))

@@ -7,6 +7,8 @@ from sfctok.core import TokenMatrix
 from sfctok.enhancer import (
     TILE_BLOCKS,
     EnhancerConfig,
+    _mix_operator,
+    _mix_operators,
     enhance,
     lowpass_gate,
     rfft_forward,
@@ -319,6 +321,58 @@ class TestEnhanceOracle:
         want = base.copy()
         want[order] += windowed_mix(seq[order], cfg)
         assert np.array_equal(out, want)
+
+
+PIECE_CONFIGS = [(64, 16), (17, 16), (16, 16), (18, 4), (16, 1)]
+
+
+def piece_rows_cols(pieces):
+    """(output rows, input rows) of every edge and interior block, in order."""
+    edges, interior = pieces
+    found = [(row + np.arange(op.shape[0]), col + np.arange(op.shape[1]))
+             for op, row, col in edges]
+    if interior is not None:
+        op, row, n_blocks = interior
+        r, span = op.shape
+        found += [(row + b * r + np.arange(r), b * r + np.arange(span))
+                  for b in range(n_blocks)]
+    return found
+
+
+class TestMixOperators:
+    @pytest.mark.parametrize("window,stride", PIECE_CONFIGS)
+    def test_pieces_write_each_row_once(self, window, stride):
+        # every K through one tile of interior blocks, then every residue
+        # mod the stride around two and three tiles and a partial fourth
+        cfg = EnhancerConfig(window=window, stride=stride, gate=lowpass_gate(window, 3))
+        span = (-(-window // stride) - 1) * stride + window
+        tile = TILE_BLOCKS * stride
+        ks = list(range(1, span + tile + 2 * stride + 2))
+        for k0 in (span + 2 * tile, span + 3 * tile, span + 3 * tile + 37):
+            ks += range(k0 - stride - 1, k0 + stride + 2)
+        for k in ks:
+            pieces = _mix_operators(k, cfg)
+            assert (pieces[1] is None) == (k < span)
+            rows, cols = map(np.concatenate, zip(*piece_rows_cols(pieces)))
+            assert 0 <= rows.min() and rows.max() < k, k
+            assert 0 <= cols.min() and cols.max() < k, k
+            assert np.array_equal(np.bincount(rows, minlength=k), np.ones(k)), k
+
+    @pytest.mark.parametrize("window,stride", PIECE_CONFIGS)
+    def test_pieces_assemble_the_operator(self, rng, window, stride):
+        cfg = EnhancerConfig(
+            window=window, stride=stride, gate=rng.uniform(size=window // 2 + 1)
+        )
+        span = (-(-window // stride) - 1) * stride + window
+        for k in range(1, span + 3 * stride + 2):
+            pieces = edges, interior = _mix_operators(k, cfg)
+            ops = [op for op, _, _ in edges]
+            if interior is not None:
+                ops += [interior[0]] * interior[2]
+            full = np.zeros((k, k))
+            for op, (rows, cols) in zip(ops, piece_rows_cols(pieces)):
+                full[np.ix_(rows, cols)] = op
+            assert np.array_equal(full, _mix_operator(k, cfg, 0, k)), k
 
 
 def test_enhance_holds_one_sum():

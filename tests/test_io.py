@@ -261,6 +261,16 @@ class TestLabels:
         with pytest.raises(ParseError, match="label -5 of point 1"):
             load_labels(path, 3)
 
+    def test_stray_byte_at_end_of_sniffed_prefix(self, tmp_path):
+        # the text sniff reads 4096 bytes: a stray byte at offset 4095 makes
+        # the file binary i32, b"7\n7\n" 1023 times and then b"7\n7\x00"
+        data = bytearray(b"7\n" * 2048)
+        data[4095] = 0
+        path = tmp_path / "lab"
+        path.write_bytes(bytes(data))
+        labels = load_labels(path, 1024)
+        assert np.array_equal(labels, [1] * 1023 + [0])
+
     def test_binary_misaligned(self, tmp_path):
         path = tmp_path / "odd.bin"
         path.write_bytes(b"\x01\x00\x00")
