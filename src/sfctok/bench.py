@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -13,17 +13,6 @@ from .pipeline import build_vote_graph
 from .synth import make_scene
 from .tokenizer import voxel_superpoints
 
-BENCH_CSV_COLUMNS = (
-    "n_points",
-    "trial",
-    "n_superpoints",
-    "build_seconds",
-    "oracle_seconds",
-    "candidate_pairs",
-    "candidate_pairs_closed_form",
-    "edge_count",
-    "recall",
-)
 BENCH_VOXEL_CELL = 0.4  # meters
 ORACLE_CHUNK = 4096  # oracle point columns per distance block
 BUILD_REPEATS = 3  # graph builds per scene; the fastest is reported
@@ -102,23 +91,27 @@ def fit_loglog_slope(sizes, seconds):
 
 @dataclass
 class BenchRow:
+    """One ``sfctok bench`` CSV row: the fields are the columns, in order,
+    and a float field's ``fmt`` metadata is its format."""
+
     n_points: int
     trial: int
     n_superpoints: int
-    build_seconds: float
-    oracle_seconds: float  # nan when skipped
+    build_seconds: float = field(metadata={"fmt": ".6f"})
+    oracle_seconds: float = field(metadata={"fmt": ".6f"})  # nan when skipped
     candidate_pairs: int
     candidate_pairs_closed_form: int
     edge_count: int
-    recall: float  # nan when oracle skipped
+    recall: float = field(metadata={"fmt": ".4f"})  # nan when oracle skipped
 
     def csv(self):
-        return (
-            f"{self.n_points},{self.trial},{self.n_superpoints},"
-            f"{self.build_seconds:.6f},{self.oracle_seconds:.6f},"
-            f"{self.candidate_pairs},{self.candidate_pairs_closed_form},"
-            f"{self.edge_count},{self.recall:.4f}"
+        return ",".join(
+            format(getattr(self, f.name), f.metadata.get("fmt", ""))
+            for f in fields(self)
         )
+
+
+BENCH_CSV_COLUMNS = tuple(f.name for f in fields(BenchRow))
 
 
 def bench_scene(n_points, seed):
@@ -141,12 +134,9 @@ def run_bench(sizes, trials, cfg: PipelineConfig, oracle_cap=20000):
                     cloud.positions, part.labels, part.centers, cfg
                 )
                 best = min(best, time.perf_counter() - t0)
-            pairs = candidate_pair_count(
-                cloud.n_points, cfg.graph_stride, cfg.graph_window
-            )
-            closed = 4 * (cloud.n_points // cfg.graph_stride + (cloud.n_points % cfg.graph_stride > 0)) * (
-                2 * cfg.graph_window + 1
-            )
+            r, w = cfg.graph_stride, cfg.graph_window
+            pairs = candidate_pair_count(cloud.n_points, r, w)
+            closed = 4 * -(-cloud.n_points // r) * (2 * w + 1)
             oracle_seconds = float("nan")
             recall = float("nan")
             if n <= oracle_cap:

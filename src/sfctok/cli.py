@@ -84,20 +84,16 @@ def _cmd_bench(args):
     finally:
         if args.out:
             out.close()
-    build = {}
-    oracle = {}
-    for row in rows:
-        build.setdefault(row.n_points, []).append(row.build_seconds)
-        if np.isfinite(row.oracle_seconds):
-            oracle.setdefault(row.n_points, []).append(row.oracle_seconds)
-    if len(build) >= 2:
-        ns = sorted(build)
-        slope = fit_loglog_slope(ns, [np.mean(build[n]) for n in ns])
-        print(f"build_slope={slope:.3f}")
-    if len(oracle) >= 2:
-        ns = sorted(oracle)
-        slope = fit_loglog_slope(ns, [np.mean(oracle[n]) for n in ns])
-        print(f"oracle_slope={slope:.3f}")
+    for name in ("build_seconds", "oracle_seconds"):
+        per_n = {}
+        for row in rows:
+            secs = getattr(row, name)
+            if np.isfinite(secs):
+                per_n.setdefault(row.n_points, []).append(secs)
+        if len(per_n) >= 2:
+            ns = sorted(per_n)
+            slope = fit_loglog_slope(ns, [np.mean(per_n[n]) for n in ns])
+            print(f"{name.removesuffix('_seconds')}_slope={slope:.3f}")
     return 0
 
 

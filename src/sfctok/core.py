@@ -45,7 +45,7 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class SuperpointPartition:
-    """Point-to-superpoint assignment with per-superpoint centers and counts.
+    """Point-to-superpoint assignment with per-superpoint centers.
 
     ``labels`` holds values in {0..M-1} or SENTINEL (-1) for points outside
     any superpoint; sentinel points are skipped by all downstream operations.
@@ -53,7 +53,6 @@ class SuperpointPartition:
 
     labels: np.ndarray  # (N,) int
     centers: np.ndarray  # (M, 3)
-    counts: np.ndarray  # (M,) int
 
     @property
     def n_superpoints(self):
@@ -139,6 +138,17 @@ def validate_partition(partition: SuperpointPartition, n_points) -> None:
     """Check that ``partition`` gives each of ``n_points`` points an integer
     label in [-1, M-1] and has M finite (M, 3) centers; raise one typed error."""
     labels, centers = np.asarray(partition.labels), np.asarray(partition.centers)
+    if centers.ndim != 2 or centers.shape[1] != 3 or not np.isfinite(centers).all():
+        raise InvalidPartition(
+            f"partition centers of shape {centers.shape} are not finite (M, 3)"
+        )
+    _check_labels(labels, n_points, centers.shape[0])
+
+
+def _check_labels(labels, n_points, m=None):
+    """Raise ``InvalidPartition`` unless ``labels`` is a 1-D integer array
+    with entries in [-1, m-1], and ``LengthMismatch`` unless it has
+    ``n_points`` entries. ``m`` defaults to the largest label + 1; return it."""
     if labels.ndim != 1 or labels.dtype.kind not in "iu":
         raise InvalidPartition(
             f"partition labels are {labels.dtype} {labels.shape}, not 1-D integers"
@@ -147,13 +157,11 @@ def validate_partition(partition: SuperpointPartition, n_points) -> None:
         raise LengthMismatch(
             f"partition has {labels.size} labels for a {n_points}-point scene"
         )
-    if centers.ndim != 2 or centers.shape[1] != 3 or not np.isfinite(centers).all():
-        raise InvalidPartition(
-            f"partition centers of shape {centers.shape} are not finite (M, 3)"
-        )
-    lo, hi, m = labels.min(), labels.max(), centers.shape[0]
+    lo, hi = (labels.min(), labels.max()) if labels.size else (SENTINEL, SENTINEL)
+    m = hi + 1 if m is None else m
     if lo < SENTINEL or hi >= m:
         raise InvalidPartition(f"partition labels span [{lo}, {hi}], not [-1, {m - 1}]")
+    return int(m)
 
 
 def _first_non_finite_row(a):
@@ -239,7 +247,7 @@ def label_counts(labels, m):
 
 
 def segment_mean(labels, m, values):
-    """Mean of the ``values`` rows per label 0..m-1, and the row count per label.
+    """Mean of the ``values`` rows per label 0..m-1, as an (m, C) array.
 
     SENTINEL rows are skipped; a label in range with no rows raises
     ``EmptySuperpoint``. The sums are one product with the (m, N) 0/1
@@ -254,19 +262,19 @@ def segment_mean(labels, m, values):
     )
     means = member @ np.asarray(values, dtype=np.float64)
     means /= counts[:, None]
-    return means, counts
+    return means
 
 
 def build_partition(labels, positions) -> SuperpointPartition:
-    """Construct a partition from per-point labels, computing centers/counts.
+    """Construct a partition from per-point labels, computing the centers.
 
-    Labels must already be dense in {0..M-1} (or SENTINEL); every label in
-    that range must be populated.
+    ``labels`` must be a 1-D integer array with one label per position
+    (else ``InvalidPartition`` or ``LengthMismatch``), dense in {0..M-1} or
+    SENTINEL; every label in that range must be populated.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    valid = labels != SENTINEL
-    if not valid.any():
+    labels = np.asarray(labels)
+    m = _check_labels(labels, len(positions))
+    if m == 0:
         raise EmptySuperpoint(0)
-    m = int(labels[valid].max()) + 1
-    centers, counts = segment_mean(labels, m, positions)
-    return SuperpointPartition(labels=labels, centers=centers, counts=counts)
+    labels = labels.astype(np.int64, copy=False)
+    return SuperpointPartition(labels, segment_mean(labels, m, positions))

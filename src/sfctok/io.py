@@ -31,20 +31,20 @@ TOKENFILE_MAGIC = b"FAS3"
 TOKENFILE_VERSION = 1
 
 _PLY_TYPES = {
-    "float": ("f4", 4),
-    "float32": ("f4", 4),
-    "double": ("f8", 8),
-    "float64": ("f8", 8),
-    "uchar": ("u1", 1),
-    "uint8": ("u1", 1),
-    "char": ("i1", 1),
-    "int8": ("i1", 1),
-    "short": ("i2", 2),
-    "ushort": ("u2", 2),
-    "int": ("i4", 4),
-    "int32": ("i4", 4),
-    "uint": ("u4", 4),
-    "uint32": ("u4", 4),
+    "float": "f4",
+    "float32": "f4",
+    "double": "f8",
+    "float64": "f8",
+    "uchar": "u1",
+    "uint8": "u1",
+    "char": "i1",
+    "int8": "i1",
+    "short": "i2",
+    "ushort": "u2",
+    "int": "i4",
+    "int32": "i4",
+    "uint": "u4",
+    "uint32": "u4",
 }
 # Fields a header line of each keyword needs before its values can be read.
 _PLY_MIN_FIELDS = {"format": 2, "element": 3, "property": 3}
@@ -128,9 +128,7 @@ def load_ply(path) -> PointCloud:
             raise ParseError(str(exc), offset=body_off) from None
         cols = {name: table[:, i] for i, (name, _) in enumerate(props)}
     else:
-        dtype = np.dtype(
-            [(name, "<" + _PLY_TYPES[typ][0]) for name, typ in props]
-        )
+        dtype = np.dtype([(name, "<" + _PLY_TYPES[typ]) for name, typ in props])
         needed = n * dtype.itemsize
         payload = len(data) - body_off
         if payload < needed or (exact and payload > needed):

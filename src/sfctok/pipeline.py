@@ -156,7 +156,7 @@ def run_pipeline(
         )
 
     with _Stage("tokenize", timings):
-        s = tokenizer.superpoint_pool(scene, partition, weights.point_mlp, cfg.width)
+        s = tokenizer.superpoint_pool(scene, partition, weights.point_mlp)
 
     with _Stage("enhance", timings):
         token_curves = sfc.serialize_all(partition.centers, b=cfg.bits)

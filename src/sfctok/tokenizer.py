@@ -2,12 +2,12 @@
 
 A superpoint token is the per-label mean of the point tokens, the sum of a
 shallow MLP projection of the point features and a parameter-free Fourier
-embedding of box-normalized coordinates. Both are as wide as the token,
-an int passed down as ``width`` or ``d``; the embedding fills d // 6 octave
-bands per axis and zero-pads the rest. The MLP's last layer is linear and
-so is the mean, so the mean is taken over the last hidden layer and the
-embedding, and the last layer runs once per superpoint instead of once per
-point. Also hosts the voxel fallback segmenter.
+embedding of box-normalized coordinates. Both are d wide, d the fan-out
+of the MLP's last layer; the embedding fills d // 6 octave bands per axis
+and zero-pads the rest. The MLP's last layer is linear and so is the mean,
+so the mean is taken over the last hidden layer and the embedding, and the
+last layer runs once per superpoint instead of once per point. Also hosts
+the voxel fallback segmenter.
 
 The point rows are never held in full. ``superpoint_pool`` sorts the points
 by label once and streams them in chunks of about ``CHUNK_POINTS`` points
@@ -175,9 +175,9 @@ def _split_head(weights: SeededWeights):
     return weights.split(-1)
 
 
-def point_tokens(cloud: PointCloud, weights: SeededWeights, d, box=None, out=None):
+def point_tokens(cloud: PointCloud, weights: SeededWeights, box=None, out=None):
     """K x (h+d) point rows: the MLP's last hidden layer, then the d-wide
-    ``fourier_embed``.
+    ``fourier_embed``, d the last layer's fan-out.
 
     The hidden part is ReLU(every layer but the last) of the features, h wide
     (the raw features for a one-layer MLP). ``superpoint_pool`` applies the
@@ -186,7 +186,7 @@ def point_tokens(cloud: PointCloud, weights: SeededWeights, d, box=None, out=Non
     a float64 K x (h+d) array that receives the rows and is returned.
     """
     hidden, head = _split_head(weights)
-    h = head.shapes[0][0]
+    h, d = head.shapes[0]
     x0 = out if out is not None else np.empty((cloud.n_points, h + d))
     fourier_embed(cloud.positions, d, box, out=x0[:, h:])
     feat = mlp_project(cloud.features, hidden)
@@ -221,9 +221,10 @@ def _chunks(sorted_labels, n_sentinel):
 
 
 def superpoint_pool(
-    cloud: PointCloud, part: SuperpointPartition, weights: SeededWeights, width
+    cloud: PointCloud, part: SuperpointPartition, weights: SeededWeights
 ) -> TokenMatrix:
-    """``width``-wide superpoint tokens of ``cloud``; sentinel points are excluded.
+    """Superpoint tokens of ``cloud``, as wide as the point MLP's fan-out;
+    sentinel points are excluded.
 
     The points are sorted by label once and streamed in chunks of whole
     superpoints. Each chunk's ``point_tokens`` rows (with the whole cloud's
@@ -234,8 +235,6 @@ def superpoint_pool(
     """
     _, head = _split_head(weights)
     h, d = head.shapes[0]
-    if d != width:
-        raise ShapeMismatch(f"last layer fan-out {d} != embedding width {width}")
     labels = np.asarray(part.labels, dtype=np.int64)
     counts = label_counts(labels, part.n_superpoints)
     n_sentinel = labels.shape[0] - int(counts.sum())
@@ -249,13 +248,14 @@ def superpoint_pool(
     for lo, hi in spans:
         idx = order[lo:hi]
         chunk = PointCloud(positions=cloud.positions[idx], features=cloud.features[idx])
-        rows = point_tokens(chunk, weights, d, box, buf[: hi - lo])
+        rows = point_tokens(chunk, weights, box, buf[: hi - lo])
         skip = max(n_sentinel - lo, 0)
         if skip < hi - lo:
             lab = sorted_labels[lo + skip : hi]
             first, last = lab[0], lab[-1]
-            means, _ = segment_mean(lab - first, last + 1 - first, rows[skip:])
-            pooled[first : last + 1] = means
+            pooled[first : last + 1] = segment_mean(
+                lab - first, last + 1 - first, rows[skip:]
+            )
     feats = mlp_project(pooled[:, :h], head)
     feats += pooled[:, h:]
     return TokenMatrix(feats=feats, centers=part.centers)

@@ -7,17 +7,21 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sfctok
+from sfctok.bench import BenchRow
 from sfctok.cli import main
 from sfctok.config import PipelineConfig
 from sfctok import pipeline
-from sfctok.core import build_partition, seeded_init
+from sfctok.core import PointCloud, build_partition, seeded_init
 from sfctok.errors import (
     InvalidPartition,
     LengthMismatch,
     NonFiniteCoordinate,
     NonFiniteFeature,
+    SfcTokError,
     ShapeMismatch,
     StageError,
     SuggestLowerT,
@@ -184,6 +188,54 @@ class TestPipeline:
         assert np.array_equal(small.positions, again.positions)
 
 
+def degenerate_cloud(kind, n, seed):
+    """n points (one or two for those kinds) of one degenerate shape."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    pos = rng.uniform(0.0, 4.0, size=(n, 3))
+    if kind == "one_point":
+        pos = pos[:1]
+    elif kind == "two_points":
+        pos = pos[:2]
+    elif kind == "identical":
+        pos[:] = pos[0]
+    elif kind == "duplicated":
+        pos = pos[np.arange(n) // 3]
+    elif kind == "flat_axis":
+        pos[:, 1] = 1.5
+    elif kind == "collinear":
+        pos = pos[:, :1] * np.array([[1.0, -2.0, 3.0]])
+    elif kind == "scaled_1e300":
+        pos *= 1e300
+    else:  # "span_1e-300"
+        pos *= 0.25e-300
+    return PointCloud(positions=pos, features=rng.normal(size=(len(pos), 3)))
+
+
+class TestFuzzPipeline:
+    """Degenerate clouds give finite (T, d) tokens or a typed error."""
+
+    @pytest.mark.parametrize("tokens", [1, 4])
+    @pytest.mark.parametrize("kind", [
+        "one_point", "two_points", "identical", "duplicated", "flat_axis",
+        "collinear", "scaled_1e300", "span_1e-300",
+    ])
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 1000),
+           cell=st.sampled_from([0.5, 1e-3]))
+    def test_degenerate_cloud(self, kind, tokens, n, seed, cell):
+        cfg = PipelineConfig(tokens=tokens, width=32, svd_rank=8, voxel_cell=cell)
+        try:
+            result = run_pipeline(degenerate_cloud(kind, n, seed), cfg)
+        except StageError as err:  # a stage wraps any error: the cause is typed
+            assert isinstance(err.cause, SfcTokError), repr(err.cause)
+            return
+        except SfcTokError:
+            return
+        assert result.tokens.feats.shape == (tokens, 32)
+        assert np.isfinite(result.tokens.feats).all()
+        assert np.isfinite(result.tokens.centers).all()
+
+
 class TestCli:
     def test_tokenize_writes_token_file(self, scene_ply, tmp_path, capsys):
         out = tmp_path / "out.tok"
@@ -293,6 +345,24 @@ class TestCli:
         assert len(lines) >= 3
         printed = capsys.readouterr().out
         assert "build_slope=" in printed
+
+    def test_bench_row_csv_formats(self):
+        row = BenchRow(1000, 0, 474, 0.0024471, np.nan, 16052, 16380, 2556, np.nan)
+        assert row.csv() == "1000,0,474,0.002447,nan,16052,16380,2556,nan"
+
+    def test_bench_header_and_build_slope_only_below_oracle_cap(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        rc = main(["bench", "--sizes", "1000,2000", "--trials", "1",
+                   "--oracle-cap", "999", "--out", str(out),
+                   "--voxel-cell", "0.5"])
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == ("n_points,trial,n_superpoints,build_seconds,oracle_seconds,"
+                            "candidate_pairs,candidate_pairs_closed_form,edge_count,recall")
+        assert len(lines) == 3
+        assert all(line.split(",")[4] == line.split(",")[8] == "nan" for line in lines[1:])
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 1 and printed[0].startswith("build_slope=")
 
     @pytest.mark.parametrize(
         "flags",

@@ -7,6 +7,7 @@ from sfctok.core import (
     SENTINEL,
     PointCloud,
     build_partition,
+    label_counts,
     segment_mean,
     seeded_init,
     stable_order,
@@ -16,7 +17,9 @@ from sfctok.errors import (
     EmptyCloud,
     EmptySuperpoint,
     FeatureRowMismatch,
+    InvalidPartition,
     InvalidShape,
+    LengthMismatch,
     NonFiniteCoordinate,
 )
 
@@ -99,9 +102,23 @@ def test_build_partition_centers_and_counts():
     labels = np.array([0, 0, 1, -1])
     part = build_partition(labels, pos)
     assert part.n_superpoints == 2
-    assert np.array_equal(part.counts, [2, 1])
+    assert np.array_equal(label_counts(part.labels, 2), [2, 1])
     assert np.allclose(part.centers[0], [1.0, 0, 0])
     assert np.allclose(part.centers[1], [1.0, 1, 1])
+
+
+SIX_POINTS = np.arange(18, dtype=np.float64).reshape(6, 3)
+
+
+@pytest.mark.parametrize("labels, error, match", [
+    ([0, 1, -3, 2, 0, 1], InvalidPartition, r"labels span \[-3, 2\], not \[-1, 2\]"),
+    ([0.5, 1.2, 2.7, 0.0, 1.0, 2.0], InvalidPartition, r"float64 \(6,\), not 1-D integers"),
+    ([[0], [1], [2], [0], [1], [2]], InvalidPartition, r"int64 \(6, 1\), not 1-D integers"),
+    ([0, 1, 2, 0, 1], LengthMismatch, r"5 labels for a 6-point scene"),
+], ids=["below_sentinel", "float", "column", "too_few"])
+def test_build_partition_rejects_bad_labels(labels, error, match):
+    with pytest.raises(error, match=match):
+        build_partition(np.array(labels), SIX_POINTS)
 
 
 def _segment_mean_oracle(labels, m, values):
@@ -112,7 +129,7 @@ def _segment_mean_oracle(labels, m, values):
         if label != SENTINEL:
             sums[label] += values[row]
             counts[label] += 1
-    return sums / counts[:, None], counts
+    return sums / counts[:, None]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -125,10 +142,9 @@ def test_segment_mean_matches_loop_oracle(seed):
     labels[rng.random(n) < 0.2] = SENTINEL
     labels[rng.permutation(n)[:m]] = np.arange(m)  # keep every label populated
     values = rng.normal(size=(n, int(rng.integers(1, 9)))) * 10.0 ** rng.integers(-3, 4)
-    means, counts = segment_mean(labels, m, values)
-    ref_means, ref_counts = _segment_mean_oracle(labels, m, values)
-    assert np.array_equal(counts, ref_counts)
-    assert np.array_equal(means, ref_means)  # same summation order: bit-equal
+    means = segment_mean(labels, m, values)
+    # same summation order: bit-equal
+    assert np.array_equal(means, _segment_mean_oracle(labels, m, values))
 
 
 def test_segment_mean_empty_label_rejected():

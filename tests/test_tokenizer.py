@@ -10,6 +10,7 @@ from sfctok.core import (
     PointCloud,
     SeededWeights,
     build_partition,
+    label_counts,
     seeded_init,
     segment_mean,
 )
@@ -163,17 +164,18 @@ def relative_error(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
-def unchunked_pool(cloud, labels, m, w, d):
+def unchunked_pool(cloud, labels, m, w):
     """The pooled tokens from all N point rows at once: one ``segment_mean``
     over the full rows, then the last layer over the hidden columns."""
     _, head = w.split(-1)
     h = head.shapes[0][0]
-    pooled, _ = segment_mean(labels, m, point_tokens(cloud, w, d))
+    pooled = segment_mean(labels, m, point_tokens(cloud, w))
     return mlp_project(pooled[:, :h], head) + pooled[:, h:]
 
 
-def per_label_oracle(cloud, labels, m, w, d):
+def per_label_oracle(cloud, labels, m, w):
     """Mean of the full point tokens (every MLP layer plus the embedding)."""
+    d = w.shapes[-1][1]
     tokens = mlp_project(cloud.features, w) + fourier_embed(cloud.positions, d)
     return np.stack([tokens[labels == lab].mean(axis=0) for lab in range(m)])
 
@@ -184,12 +186,12 @@ class TestPointTokens:
             positions=rng.uniform(size=(30, 3)), features=rng.uniform(size=(30, 3))
         )
         w = zero_weights([(3, 16), (16, 24)])
-        x0 = point_tokens(cloud, w, D)
+        x0 = point_tokens(cloud, w)
         emb = fourier_embed(cloud.positions, D)
         assert np.array_equal(x0[:, :16], np.zeros((30, 16)))
         assert np.array_equal(x0[:, 16:], emb)
         labels = np.arange(30) % 4
-        pooled = superpoint_pool(cloud, build_partition(labels, cloud.positions), w, D)
+        pooled = superpoint_pool(cloud, build_partition(labels, cloud.positions), w)
         for lab in range(4):
             assert np.allclose(pooled.feats[lab], emb[labels == lab].mean(axis=0))
 
@@ -200,22 +202,22 @@ class TestPointTokens:
         for shapes in ([(3, 24)], [(3, 40), (40, 24)]):
             w = seeded_init(0, shapes)
             out = np.full((17, shapes[-1][0] + 24), np.nan)
-            assert point_tokens(cloud, w, D, None, out) is out
-            assert np.array_equal(out, point_tokens(cloud, w, D))
+            assert point_tokens(cloud, w, None, out) is out
+            assert np.array_equal(out, point_tokens(cloud, w))
 
     def test_row_count(self, rng):
         cloud = PointCloud(
             positions=rng.uniform(size=(17, 3)), features=rng.uniform(size=(17, 3))
         )
         w = seeded_init(0, [(3, 40), (40, 24)])
-        assert point_tokens(cloud, w, D).shape == (17, 40 + 24)
+        assert point_tokens(cloud, w).shape == (17, 40 + 24)
 
     def test_one_layer_hidden_part_is_raw_features(self, rng):
         # no hidden layer, so no ReLU: negative features pass through
         cloud = PointCloud(
             positions=rng.uniform(size=(9, 3)), features=rng.normal(size=(9, 3))
         )
-        x0 = point_tokens(cloud, seeded_init(0, [(3, 24)]), D)
+        x0 = point_tokens(cloud, seeded_init(0, [(3, 24)]))
         assert np.array_equal(x0[:, :3], cloud.features)
 
     def test_last_layer_fan_in_mismatch(self, rng):
@@ -224,7 +226,7 @@ class TestPointTokens:
         )
         w = seeded_init(0, [(3, 16), (20, 24)])
         with pytest.raises(ShapeMismatch):
-            point_tokens(cloud, w, D)
+            point_tokens(cloud, w)
 
     def test_feature_linearity_single_linear_layer(self, rng):
         # one layer, zero bias: MLP part is linear in the features
@@ -246,23 +248,22 @@ class TestPointTokens:
         w = seeded_init(1, [(3, 16), (16, 24)])
         rows = [3, 7, 8, 30]
         subset = PointCloud(positions=cloud.positions[rows], features=cloud.features[rows])
-        whole = point_tokens(cloud, w, D)
+        whole = point_tokens(cloud, w)
         box = bounding_box(cloud.positions)
-        assert np.array_equal(point_tokens(subset, w, D, box), whole[rows])
-        assert not np.allclose(point_tokens(subset, w, D), whole[rows])
+        assert np.array_equal(point_tokens(subset, w, box), whole[rows])
+        assert not np.allclose(point_tokens(subset, w), whole[rows])
 
 
 class TestSuperpointPool:
     # one-layer MLP: the point rows are the 4 raw features, then a d=6
     # embedding; the head maps 4 -> 6
     HEAD = seeded_init(5, [(4, 6)])
-    D6 = 6
 
     def pool(self, cloud, part):
-        return superpoint_pool(cloud, part, self.HEAD, self.D6)
+        return superpoint_pool(cloud, part, self.HEAD)
 
     def rows(self, cloud):
-        return point_tokens(cloud, self.HEAD, self.D6)
+        return point_tokens(cloud, self.HEAD)
 
     def test_single_superpoint_identical_tokens(self):
         cloud = PointCloud(
@@ -319,7 +320,7 @@ class TestSuperpointPool:
         )
         part = build_partition(labels, cloud.positions)
         pooled = self.pool(cloud, part)
-        total = (part.counts[:, None] * pooled.feats).sum(axis=0)
+        total = (label_counts(labels, m)[:, None] * pooled.feats).sum(axis=0)
         expected = head_rows(self.rows(cloud), self.HEAD).sum(axis=0)
         assert np.allclose(total, expected, rtol=1e-9)
 
@@ -330,18 +331,11 @@ class TestSuperpointPool:
         part3 = SuperpointPartition(
             labels=np.array([0, 2, 0]),
             centers=np.zeros((3, 3)),
-            counts=np.array([2, 0, 1]),
         )
         cloud = PointCloud(positions=np.eye(3), features=np.ones((3, 4)))
         with pytest.raises(EmptySuperpoint) as exc:
             self.pool(cloud, part3)
         assert exc.value.label == 1
-
-    def test_last_layer_fan_out_mismatch(self):
-        cloud = PointCloud(positions=np.eye(3), features=np.ones((3, 4)))
-        part = build_partition(np.array([0, 0, 1]), cloud.positions)
-        with pytest.raises(ShapeMismatch):
-            superpoint_pool(cloud, part, self.HEAD, 12)
 
 
 class TestSuperpointTokensOracle:
@@ -369,7 +363,7 @@ class TestSuperpointTokensOracle:
         labels[:m] = rng.permutation(m)
         w = seeded_init(seed + 10, shapes)
         part = build_partition(labels, cloud.positions)
-        got = superpoint_pool(cloud, part, w, d).feats
+        got = superpoint_pool(cloud, part, w).feats
 
         tokens = mlp_project(cloud.features, w) + fourier_embed(cloud.positions, d)
         oracle = np.zeros((m, d))
@@ -377,7 +371,7 @@ class TestSuperpointTokensOracle:
             rows = [i for i in range(n) if labels[i] == lab]
             oracle[lab] = sum(tokens[i] for i in rows) / len(rows)
         assert relative_error(got, oracle) <= 1e-12
-        assert np.array_equal(got, unchunked_pool(cloud, labels, m, w, d))
+        assert np.array_equal(got, unchunked_pool(cloud, labels, m, w))
 
     def test_mlp_project_bit_equal_to_out_of_place(self, rng):
         w = seeded_init(3, [(5, 16), (16, 40), (40, 24)])
@@ -401,9 +395,8 @@ class TestSuperpointTokensOracle:
         rows = np.flatnonzero(labels != -1)
         counts = np.bincount(labels[rows], minlength=m)
         member = sp.csr_matrix((np.ones(rows.size), (labels[rows], rows)), shape=(m, n))
-        means, got_counts = segment_mean(labels, m, values)
+        means = segment_mean(labels, m, values)
         assert np.array_equal(means, member @ values / counts[:, None])
-        assert np.array_equal(got_counts, counts)
 
     def test_split_returns_views(self):
         w = seeded_init(2, [(5, 16), (16, 40), (40, 24)])
@@ -448,16 +441,15 @@ class TestChunkedPool:
     """The streamed pool across chunk boundaries."""
 
     W = seeded_init(4, [(3, 16), (16, 12)])
-    D12 = 12
 
     @pytest.mark.parametrize("case", CHUNK_CASES)
     def test_matches_oracle_and_unchunked_formula(self, case, rng):
         cloud, labels, m = chunked_scene(case, rng)
         part = build_partition(labels, cloud.positions)
-        got = superpoint_pool(cloud, part, self.W, self.D12).feats
-        oracle = per_label_oracle(cloud, labels, m, self.W, self.D12)
+        got = superpoint_pool(cloud, part, self.W).feats
+        oracle = per_label_oracle(cloud, labels, m, self.W)
         assert relative_error(got, oracle) <= 1e-12
-        assert np.array_equal(got, unchunked_pool(cloud, labels, m, self.W, self.D12))
+        assert np.array_equal(got, unchunked_pool(cloud, labels, m, self.W))
 
     @pytest.mark.parametrize("case", CHUNK_CASES)
     def test_chunks_cut_at_label_starts(self, case, rng):
@@ -492,7 +484,7 @@ class TestChunkedPool:
             return raw(chunk, *args)
 
         monkeypatch.setattr(tokenizer, "point_tokens", counting)
-        superpoint_pool(cloud, build_partition(labels, cloud.positions), self.W, self.D12)
+        superpoint_pool(cloud, build_partition(labels, cloud.positions), self.W)
         assert len(seen) >= 3 and sum(seen) == cloud.n_points
 
 
@@ -507,7 +499,7 @@ class TestStreamMemory:
         bound = 0.5 * n * (2 * width) * 8
         tracemalloc.start()
         try:
-            superpoint_pool(cloud, part, w, width)
+            superpoint_pool(cloud, part, w)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -566,4 +558,4 @@ class TestVoxelSuperpoints:
         part = voxel_superpoints(cloud, cell)
         keys = {tuple(v) for v in np.floor(cloud.positions / cell).astype(int)}
         assert part.n_superpoints == len(keys)
-        assert part.counts.sum() == cloud.n_points
+        assert label_counts(part.labels, part.n_superpoints).sum() == cloud.n_points
