@@ -13,7 +13,9 @@ from .bench import BENCH_CSV_COLUMNS, fit_loglog_slope, run_bench
 from .config import PipelineConfig, config_from_sources, parse_config_file
 from .core import build_partition
 from .errors import ConfigError, InvalidWeights, SfcTokError
-from .pipeline import PipelineWeights, build_vote_graph, run_pipeline, subsample
+from .pipeline import PipelineWeights, build_vote_graph, check_partition
+from .pipeline import run_pipeline, subsample
+from .tokenizer import voxel_superpoints
 
 
 def _add_config_flags(parser):
@@ -30,25 +32,18 @@ def _build_config(args):
     return config_from_sources(file_values, overrides)
 
 
-def _load_scene(args, cfg):
+def _load_scene(args):
+    """(cloud, partition of it from ``--labels``, or None)."""
     cloud = io.load_ply(args.cloud)
-    scene = subsample(cloud, cfg.sample_n, cfg.seed)
-    if args.labels:
-        labels = io.load_labels(args.labels, cloud.n_points)
-        if cloud.n_points > cfg.sample_n:
-            raise SfcTokError(
-                "external labels require sample_n >= cloud size; "
-                "subsample the cloud and labels together beforehand"
-            )
-        partition = build_partition(labels, scene.positions)
-    else:
-        partition = None
-    return scene, partition
+    if not args.labels:
+        return cloud, None
+    labels = io.load_labels(args.labels, cloud.n_points)
+    return cloud, build_partition(labels, cloud.positions)
 
 
 def _cmd_tokenize(args):
     cfg = _build_config(args)
-    scene, partition = _load_scene(args, cfg)
+    cloud, partition = _load_scene(args)
     weights = None
     if args.weights:
         named = io.load_weights(args.weights)
@@ -57,7 +52,7 @@ def _cmd_tokenize(args):
         if missing:
             raise InvalidWeights(f"{args.weights}: no {', '.join(missing)} weights")
         weights = PipelineWeights(**{name: named[name] for name in names})
-    result = run_pipeline(scene, cfg, partition=partition, weights=weights)
+    result = run_pipeline(cloud, cfg, partition=partition, weights=weights)
     io.write_token_file(args.out, result.tokens)
     for line in result.summary_lines():
         print(line)
@@ -99,11 +94,12 @@ def _cmd_bench(args):
 
 def _cmd_graph_dump(args):
     cfg = _build_config(args)
-    scene, partition = _load_scene(args, cfg)
+    scene, partition = _load_scene(args)
     if partition is None:
-        from .tokenizer import voxel_superpoints
-
+        scene = subsample(scene, cfg.sample_n, cfg.seed)
         partition = voxel_superpoints(scene, cfg.voxel_cell)
+    else:  # the partition labels the whole cloud, which subsampling keeps
+        check_partition(partition, scene.n_points, cfg)
     vote_graph, _ = build_vote_graph(
         scene.positions, partition.labels, partition.centers, cfg
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -39,6 +40,9 @@ class PipelineConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
+            integral = isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            if f.type == "int" and not integral:
+                raise ConfigError(f"config field {f.name}={v!r} must be an integer")
             if f.name == "seed":
                 if v < 0:
                     raise ConfigError(f"config field seed={v} must be nonnegative")

@@ -233,6 +233,25 @@ def _bit_field(keys, lo, width):
     return field
 
 
+def bounding_box(positions):
+    """(lo, span) of the coordinates' axis-aligned bounding box."""
+    positions = np.asarray(positions, dtype=np.float64)
+    lo = positions.min(axis=0)
+    return lo, positions.max(axis=0) - lo
+
+
+def box_scale(positions, box, scale=1.0):
+    """``scale * (p - lo) / span`` per axis, ``box`` = (lo, span); flat axes
+    map to 0. At scale 1 the box maps onto [0, 1]^3."""
+    positions = np.asarray(positions, dtype=np.float64)
+    lo, span = box
+    out = np.zeros_like(positions)
+    for axis in range(3):
+        if span[axis] > 0.0:
+            out[:, axis] = scale * (positions[:, axis] - lo[axis]) / span[axis]
+    return out
+
+
 def label_counts(labels, m):
     """Row count per label 0..m-1, SENTINEL rows skipped.
 

@@ -7,13 +7,13 @@ results are fused by uniform averaging and added back as a residual.
 
 The mix is linear along the token axis and the same for every channel, so
 it is a K x K matrix acting on the sequence; ``_mix_operator`` builds its
-rows from identity windows. ``_mix_operators`` cuts it into pieces that
-carry their own row offsets: edges, a small operator each for the head and
-tail rows (or the whole matrix on a short sequence), and the interior, one
-banded operator shared by every stride block between them. ``enhance``
-builds the pieces once and keeps one K x d sum; each curve adds its edges,
-then its interior blocks tile by tile through a reused buffer, into that
-sum at the curve's rows.
+rows from identity windows. ``_mix_operators`` cuts it into pieces, each
+an operator with its row and column offsets and a count of stride blocks
+that share it: one piece each for the head rows, the interior blocks and
+the tail rows (or one for the whole matrix on a short sequence).
+``enhance`` builds the pieces once and keeps one K x d sum; each curve
+walks every piece tile by tile through one reused buffer pair and adds it
+into that sum at the curve's rows.
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import TokenMatrix
 from .errors import ConfigError, CurveLengthMismatch, CurveNotPermutation
 
 ZERO_WEIGHT_EPS = 1e-12
-TILE_BLOCKS = 64  # interior stride blocks per tile: 1024 rows at stride 16
+TILE_BLOCKS = 64  # stride blocks per tile: 1024 rows at stride 16
 
 
 def lowpass_gate(window: int, k_low: int):
@@ -113,34 +114,33 @@ def _mix_operator(n, cfg: EnhancerConfig, lo, hi):
 
 
 def _mix_operators(k, cfg: EnhancerConfig):
-    """The pieces of the mix of a length-k sequence x: ``(edges, interior)``.
+    """The mix of a length-k sequence x as a tuple of pieces.
 
-    An edge ``(op, row, col)`` gives output rows ``row : row + op.shape[0]``
-    as ``op @ x[col : col + op.shape[1]]``. The interior ``(op, row,
-    n_blocks)`` holds the R x span operator, span = (m-1)R + L with
-    m = ceil(L/R), that every stride block covered by m full windows shares:
-    block b gives output rows ``row + bR : row + (b+1)R`` as
-    ``op @ x[bR : bR + span]``. The edges give the head rows before the
-    blocks and the tail rows after them. Below span rows the interior is
-    None and one edge holds the k x k operator.
+    A piece ``(op, row, col, n_blocks)`` with an r x c operator ``op`` gives
+    output rows ``row + jr : row + (j+1)r`` as ``op @ x[col + jr : col + jr
+    + c]`` for each block j < n_blocks, and the pieces write every row once.
+    The interior piece holds the R x span operator, span = (m-1)R + L with
+    m = ceil(L/R), that every stride block covered by m full windows shares.
+    The head rows before its blocks and the tail rows after them are
+    one-block pieces. Below span rows one piece holds the k x k operator.
+    Pieces without rows are dropped.
     """
     L, R = cfg.window, cfg.stride
     head = (-(-L // R) - 1) * R
     span = head + L
     if k < span:
-        return ((_mix_operator(k, cfg, 0, k), 0, 0),), None
-    n_blocks = (k - span) // R + 1
-    tail = head + n_blocks * R
-    t0 = -(-(tail - L + 1) // R) * R  # start of the first window covering row tail
-    body = _mix_operator(span, cfg, 0, head + R)
-    tail_op = _mix_operator(k - t0, cfg, tail - t0, k - t0)
-    return ((body[:head], 0, 0), (tail_op, tail, t0)), (body[head:], head, n_blocks)
-
-
-def _add_rows(out, rows, y):
-    """out[rows] += y for distinct rows: take the rows, add, put them back."""
-    y += np.take(out, rows, axis=0, mode="clip")
-    out[rows] = y
+        pieces = [(_mix_operator(k, cfg, 0, k), 0, 0, 1)]
+    else:
+        n_blocks = (k - span) // R + 1
+        tail = head + n_blocks * R
+        t0 = -(-(tail - L + 1) // R) * R  # start of the first window covering row tail
+        body = _mix_operator(span, cfg, 0, head + R)
+        pieces = [
+            (body[:head], 0, 0, 1),
+            (body[head:], head, 0, n_blocks),
+            (_mix_operator(k - t0, cfg, tail - t0, k - t0), tail, t0, 1),
+        ]
+    return tuple(piece for piece in pieces if piece[0].shape[0])
 
 
 def windowed_mix(seq, cfg: EnhancerConfig, order=None, out=None, ops=None):
@@ -156,35 +156,32 @@ def windowed_mix(seq, cfg: EnhancerConfig, order=None, out=None, ops=None):
     ``seq``) is a float64 K x d array that does not overlap ``seq``. ``ops``
     is ``_mix_operators(K, cfg)``, built here unless given.
 
-    Each edge operator is applied to the input rows it reads and added into
-    ``out`` at the rows it writes. The interior blocks are walked in tiles
-    of ``TILE_BLOCKS``: a tile gathers the input rows it needs into one
-    reused buffer, mixes its blocks by one batched product over a strided
-    view of that buffer, and adds them into ``out``. No K x d array is made
-    besides ``out``.
+    Each piece is walked in tiles of up to ``TILE_BLOCKS`` blocks: a tile
+    gathers the input rows it needs, mixes its blocks by one batched product
+    over a strided view of them, and adds the result into ``out``. One
+    buffer pair sized for the largest tile serves every piece.
     """
     seq = np.asarray(seq, dtype=np.float64)
     k, d = seq.shape
     order = np.arange(k) if order is None else order
     out = np.zeros((k, d)) if out is None else out
-    edges, interior = _mix_operators(k, cfg) if ops is None else ops
-    # mode="clip" skips the bounds check: order permutes 0..K-1
-    for op, row, col in edges:
-        x = np.take(seq, order[col : col + op.shape[1]], axis=0, mode="clip")
-        _add_rows(out, order[row : row + op.shape[0]], op @ x)
-    if interior is None:
-        return out
-    body, row, n_blocks = interior
-    R, span = body.shape
-    tile = min(TILE_BLOCKS, n_blocks)
-    x, y = np.empty(((tile - 1) * R + span, d)), np.empty((tile * R, d))
-    for lo in range(0, n_blocks * R, tile * R):
-        nb = min(tile, n_blocks - lo // R)
-        xs, ys = x[: (nb - 1) * R + span], y[: nb * R]
-        np.take(seq, order[lo : lo + xs.shape[0]], axis=0, out=xs, mode="clip")
-        spans = np.lib.stride_tricks.sliding_window_view(xs, span, axis=0)[::R]
-        np.matmul(body, spans.transpose(0, 2, 1), out=ys.reshape(nb, R, d))
-        _add_rows(out, order[row + lo : row + lo + nb * R], ys)
+    pieces = _mix_operators(k, cfg) if ops is None else ops
+    tiles = [(op.shape, min(TILE_BLOCKS, n)) for op, _, _, n in pieces]
+    x = np.empty((max([(t - 1) * r + c for (r, c), t in tiles], default=0), d))
+    y = np.empty((max([t * r for (r, _), t in tiles], default=0), d))
+    for (op, row, col, n_blocks), ((r, c), tile) in zip(pieces, tiles):
+        for lo in range(0, n_blocks * r, tile * r):
+            nb = min(tile, n_blocks - lo // r)
+            xs, ys = x[: (nb - 1) * r + c], y[: nb * r]
+            # mode="clip" skips the bounds check: order permutes 0..K-1
+            cols = order[col + lo : col + lo + len(xs)]
+            np.take(seq, cols, axis=0, out=xs, mode="clip")
+            blocks = as_strided(xs, (nb, c, d), (r * xs.strides[0], *xs.strides))
+            np.matmul(op, blocks, out=ys.reshape(nb, r, d))
+            # out[rows] += ys for distinct rows: take them, add, put them back
+            rows = order[row + lo : row + lo + nb * r]
+            ys += np.take(out, rows, axis=0, mode="clip")
+            out[rows] = ys
     return out
 
 

@@ -70,30 +70,28 @@ def window_vote(labels, curve_orders, stride, radius) -> VoteBatch:
     Each curve order is an int64 permutation of the points, as
     ``sfc.serialize_all`` gives it. Anchors sit at sorted positions 0,
     stride, 2*stride, ... of each order; the window spans [p - radius,
-    p + radius] clipped to the sequence. Sentinel-labeled points never vote.
+    p + radius]. Sentinel-labeled points never vote. Each curve's label
+    sequence is padded with ``radius`` sentinels at both ends, so window
+    positions outside the sequence cast no vote either. Records come in
+    curve, then offset, then anchor order.
     """
     if stride < 1 or radius < 1:
         raise ConfigError("stride and radius must be >= 1")
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.shape[0]
-    anchors = np.arange(0, n, stride)
+    anchors = np.arange(radius, n + radius, stride)  # in the padded sequence
     deltas = np.concatenate((np.arange(-radius, 0), np.arange(1, radius + 1)))
-    # window positions of every (delta, anchor) pair inside the sequence,
-    # delta-major, and the anchor of each
-    grid = anchors[None, :] + deltas[:, None]
-    ok = (grid >= 0) & (grid < n)
-    at = grid[ok]
-    anchor_at = np.broadcast_to(anchors, grid.shape)[ok]
-    del grid, ok
+    at = deltas[:, None] + anchors  # window positions, offset-major
+    padded = np.full(n + 2 * radius, SENTINEL, dtype=np.int64)
     src_parts, dst_parts = [], []
     for perm in curve_orders:
-        lab = labels[perm]
-        s, t = lab[anchor_at], lab[at]
+        padded[radius : radius + n] = labels[perm]
+        s, t = np.broadcast_to(padded[anchors], at.shape), padded[at]
         keep = (s != SENTINEL) & (t != SENTINEL) & (s != t)
         src_parts.append(s[keep])
         dst_parts.append(t[keep])
-        del lab, s, t, keep
-    del at, anchor_at  # free the grid before the concatenation
+        del s, t, keep
+    del at, padded  # free the window positions before the concatenation
     src = np.concatenate(src_parts) if src_parts else np.empty(0, dtype=np.int64)
     dst = np.concatenate(dst_parts) if dst_parts else np.empty(0, dtype=np.int64)
     return VoteBatch(src=src, dst=dst)

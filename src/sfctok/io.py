@@ -40,7 +40,9 @@ _PLY_TYPES = {
     "char": "i1",
     "int8": "i1",
     "short": "i2",
+    "int16": "i2",
     "ushort": "u2",
+    "uint16": "u2",
     "int": "i4",
     "int32": "i4",
     "uint": "u4",

@@ -17,7 +17,7 @@ from .core import (
     validate_cloud,
     validate_partition,
 )
-from .errors import ShapeMismatch, StageError, SuggestLowerT
+from .errors import LengthMismatch, ShapeMismatch, StageError, SuggestLowerT
 
 
 @dataclass
@@ -114,6 +114,17 @@ class _Stage:
         return False
 
 
+def check_partition(partition: SuperpointPartition, n_points, cfg: PipelineConfig):
+    """Raise unless ``partition`` labels all ``n_points`` points of a cloud
+    that the subsample keeps whole (``validate_partition``)."""
+    if n_points > cfg.sample_n:
+        raise LengthMismatch(
+            f"a partition of a {n_points}-point cloud needs sample_n >= {n_points}, "
+            f"got sample_n={cfg.sample_n}; subsample cloud and labels beforehand"
+        )
+    validate_partition(partition, n_points)
+
+
 def run_pipeline(
     cloud: PointCloud,
     cfg: PipelineConfig,
@@ -122,18 +133,15 @@ def run_pipeline(
 ) -> PipelineResult:
     """Run the full tokenize pipeline and return T context-rich tokens.
 
-    When ``partition`` is None the voxel fallback segments the (already
-    subsampled) cloud. Labels passed in must align with the subsampled cloud;
-    callers providing external labels should subsample beforehand.
-
-    The cloud, any ``partition`` given (label count, dtype and range, center
-    shape and values) and the outer shapes of any ``weights`` given are
-    checked before any stage runs; bad input raises a typed ``SfcTokError``
-    naming it.
+    When ``partition`` is None the voxel fallback segments the subsampled
+    cloud; one given must label every point of a cloud of at most
+    ``cfg.sample_n`` points. The cloud, any ``partition`` and the outer
+    shapes of any ``weights`` are checked before any stage runs; bad input
+    raises a typed ``SfcTokError`` naming it.
     """
     validate_cloud(cloud)
     if partition is not None:
-        validate_partition(partition, min(cloud.n_points, cfg.sample_n))
+        check_partition(partition, cloud.n_points, cfg)
     if weights is not None:
         weights.check(cloud.n_channels, cfg)
     timings = {}

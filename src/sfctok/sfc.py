@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import stable_order
+from .core import bounding_box, box_scale, stable_order
 from .errors import ConfigError, DimensionMismatch
 
 # Hilbert state machine, indexed by state * 8 + Morton digit (z, y, x bits).
@@ -87,18 +87,9 @@ def quantize(centers, b):
     """
     if not 1 <= b <= 16:
         raise ConfigError(f"bit depth {b} outside 1..16")
-    centers = np.asarray(centers, dtype=np.float64)
-    lo = centers.min(axis=0)
-    hi = centers.max(axis=0)
-    span = hi - lo
-    out = np.zeros(centers.shape, dtype=np.int64)
     top = (1 << b) - 1
-    for axis in range(3):
-        if span[axis] <= 0.0:
-            continue
-        g = np.floor(top * (centers[:, axis] - lo[axis]) / span[axis])
-        out[:, axis] = np.clip(g, 0, top).astype(np.int64)
-    return out
+    g = np.floor(box_scale(centers, bounding_box(centers), top))
+    return np.clip(g, 0, top).astype(np.int64)
 
 
 def _spread3(v):

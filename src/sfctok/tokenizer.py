@@ -27,6 +27,8 @@ from .core import (
     SeededWeights,
     SuperpointPartition,
     TokenMatrix,
+    bounding_box,
+    box_scale,
     build_partition,
     label_counts,
     segment_mean,
@@ -49,24 +51,6 @@ TWO_PI_TAIL = 2.4492935982947064e-16  # 2 pi - TWO_PI, rounded to float64
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for Dekker's product
 _TWO_PI_HI = _SPLIT * TWO_PI - (_SPLIT * TWO_PI - TWO_PI)
 _TWO_PI_LO = TWO_PI - _TWO_PI_HI
-
-
-def bounding_box(positions):
-    """(lo, span) of the coordinates' axis-aligned bounding box."""
-    positions = np.asarray(positions, dtype=np.float64)
-    lo = positions.min(axis=0)
-    return lo, positions.max(axis=0) - lo
-
-
-def _box_normalize(positions, box):
-    """Scale coordinates into [0,1]^3 by ``box``; flat axes map to 0."""
-    positions = np.asarray(positions, dtype=np.float64)
-    lo, span = box
-    u = np.zeros_like(positions)
-    for axis in range(3):
-        if span[axis] > 0.0:
-            u[:, axis] = (positions[:, axis] - lo[axis]) / span[axis]
-    return u
 
 
 def _two_pi_residual(u):
@@ -141,7 +125,7 @@ def fourier_embed(positions, d, box=None, out=None):
         raise WidthTooSmall(f"embedding width {d} < 6")
     if box is None:
         box = bounding_box(positions)
-    u = _box_normalize(positions, box)  # (K, 3)
+    u = box_scale(positions, box)  # (K, 3) in [0, 1]
     k_pts, n_freqs = u.shape[0], d // 6
     if out is None:
         out = np.empty((k_pts, d))
@@ -199,20 +183,19 @@ def point_tokens(cloud: PointCloud, weights: SeededWeights, box=None, out=None):
     return x0
 
 
-def _chunks(sorted_labels, n_sentinel):
+def _chunks(counts, n_sentinel):
     """(lo, hi) spans of the label-sorted points, about CHUNK_POINTS each.
 
-    Cuts fall at label starts, or anywhere in the leading sentinel run, so
-    every chunk holds whole superpoints.
+    The points sort as ``n_sentinel`` sentinels, then ``counts[j]`` points
+    of each label j. Cuts fall at label starts, or anywhere in the leading
+    sentinel run, so every chunk holds whole superpoints.
     """
-    n = sorted_labels.shape[0]
-    cuts = np.union1d(
-        np.arange(0, max(n_sentinel, 1), CHUNK_POINTS),  # 0 is always a cut
-        np.flatnonzero(sorted_labels[1:] != sorted_labels[:-1]) + 1,
-    )
-    cuts = np.append(cuts, n)
+    cuts = np.concatenate((
+        np.arange(0, n_sentinel, CHUNK_POINTS),
+        n_sentinel + np.cumsum(np.append(0, counts)),  # label starts, then the end
+    ))
     lo = 0
-    while lo < n:
+    while lo < cuts[-1]:
         hi = cuts[np.searchsorted(cuts, lo + CHUNK_POINTS, side="right") - 1]
         if hi <= lo:  # the superpoint at lo alone exceeds a chunk
             hi = cuts[np.searchsorted(cuts, lo, side="right")]
@@ -240,9 +223,8 @@ def superpoint_pool(
     n_sentinel = labels.shape[0] - int(counts.sum())
     # sentinels (-1) first; labels + 1 <= M
     order = stable_order([(labels + 1, part.n_superpoints.bit_length())])
-    sorted_labels = labels[order]
     box = bounding_box(cloud.positions)
-    spans = list(_chunks(sorted_labels, n_sentinel))
+    spans = list(_chunks(counts, n_sentinel))
     buf = np.empty((max((hi - lo for lo, hi in spans), default=0), h + d))
     pooled = np.empty((part.n_superpoints, h + d))
     for lo, hi in spans:
@@ -251,7 +233,7 @@ def superpoint_pool(
         rows = point_tokens(chunk, weights, box, buf[: hi - lo])
         skip = max(n_sentinel - lo, 0)
         if skip < hi - lo:
-            lab = sorted_labels[lo + skip : hi]
+            lab = labels[idx[skip:]]
             first, last = lab[0], lab[-1]
             pooled[first : last + 1] = segment_mean(
                 lab - first, last + 1 - first, rows[skip:]

@@ -128,6 +128,18 @@ class TestPipeline:
         with pytest.raises(LengthMismatch, match="2000 labels for a 3000-point"):
             run_pipeline(make_scene(3000, seed=3), cfg, partition=partition)
 
+    @pytest.mark.parametrize("n_labeled", [2000, 3000], ids=["other_scene", "same_scene"])
+    def test_partition_of_cloud_above_sample_n_rejected(self, no_stage_runs, n_labeled):
+        # the subsample would drop labeled points, whichever cloud the
+        # partition was made for
+        cfg = PipelineConfig(
+            sample_n=2000, tokens=12, width=32, svd_rank=8, voxel_cell=0.5
+        )
+        other = make_scene(n_labeled, seed=3)
+        partition = build_partition(np.arange(n_labeled) % 40, other.positions)
+        with pytest.raises(LengthMismatch, match="3000-point cloud .* sample_n=2000"):
+            run_pipeline(make_scene(3000, seed=3), cfg, partition=partition)
+
     @pytest.mark.parametrize("edit, match", [
         (lambda p, m: {"labels": np.where(p.labels == 5, m, p.labels)},
          r"partition labels span \[0, {m}\], not \[-1, {m1}\]"),
@@ -311,6 +323,17 @@ class TestCli:
                    "--svd-rank", "8"])
         assert rc == 0
         assert read_token_file(out).n_tokens == 8
+
+    @pytest.mark.parametrize("command", ["tokenize", "graph-dump"])
+    def test_labels_of_cloud_above_sample_n_rejected(self, scene_ply, tmp_path, capsys, command):
+        lab = tmp_path / "lab.txt"
+        lab.write_text("\n".join(str(i % 50) for i in range(4000)) + "\n")
+        rc = main([command, str(scene_ply), "--labels", str(lab),
+                   "--out", str(tmp_path / "out"), *SMALL])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sample_n=3000" in err
+        assert not (tmp_path / "out").exists()
 
     def test_graph_dump(self, scene_ply, tmp_path, capsys):
         out = tmp_path / "edges.csv"

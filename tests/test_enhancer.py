@@ -327,16 +327,29 @@ PIECE_CONFIGS = [(64, 16), (17, 16), (16, 16), (18, 4), (16, 1)]
 
 
 def piece_rows_cols(pieces):
-    """(output rows, input rows) of every edge and interior block, in order."""
-    edges, interior = pieces
-    found = [(row + np.arange(op.shape[0]), col + np.arange(op.shape[1]))
-             for op, row, col in edges]
-    if interior is not None:
-        op, row, n_blocks = interior
-        r, span = op.shape
-        found += [(row + b * r + np.arange(r), b * r + np.arange(span))
-                  for b in range(n_blocks)]
-    return found
+    """(output rows, input rows) of every block of every piece, in order."""
+    return [
+        (row + b * op.shape[0] + np.arange(op.shape[0]),
+         col + b * op.shape[0] + np.arange(op.shape[1]))
+        for op, row, col, n_blocks in pieces
+        for b in range(n_blocks)
+    ]
+
+
+def piece_layout(k, window, stride):
+    """(row, rows per block, n_blocks) of the nonempty pieces of a length-k mix.
+
+    At stride == window there are no head rows, and no tail rows when the
+    blocks end at k.
+    """
+    head = (-(-window // stride) - 1) * stride
+    span = head + window
+    if k < span:
+        return [(0, k, 1)]
+    n_blocks = (k - span) // stride + 1
+    tail = head + n_blocks * stride
+    layout = [(0, head, 1), (head, stride, n_blocks), (tail, k - tail, 1)]
+    return [piece for piece in layout if piece[1]]
 
 
 class TestMixOperators:
@@ -352,7 +365,9 @@ class TestMixOperators:
             ks += range(k0 - stride - 1, k0 + stride + 2)
         for k in ks:
             pieces = _mix_operators(k, cfg)
-            assert (pieces[1] is None) == (k < span)
+            assert [(row, op.shape[0], n) for op, row, _, n in pieces] == (
+                piece_layout(k, window, stride)
+            ), k
             rows, cols = map(np.concatenate, zip(*piece_rows_cols(pieces)))
             assert 0 <= rows.min() and rows.max() < k, k
             assert 0 <= cols.min() and cols.max() < k, k
@@ -365,10 +380,8 @@ class TestMixOperators:
         )
         span = (-(-window // stride) - 1) * stride + window
         for k in range(1, span + 3 * stride + 2):
-            pieces = edges, interior = _mix_operators(k, cfg)
-            ops = [op for op, _, _ in edges]
-            if interior is not None:
-                ops += [interior[0]] * interior[2]
+            pieces = _mix_operators(k, cfg)
+            ops = [op for op, _, _, n_blocks in pieces for _ in range(n_blocks)]
             full = np.zeros((k, k))
             for op, (rows, cols) in zip(ops, piece_rows_cols(pieces)):
                 full[np.ix_(rows, cols)] = op

@@ -96,7 +96,10 @@ class TestWindowVoteOracle:
     """Records in curve, then offset, then anchor order, as one loop casts them."""
 
     @pytest.mark.parametrize(
-        "n, stride, radius", [(1, 1, 1), (7, 3, 10), (200, 4, 6), (333, 16, 32)]
+        "n, stride, radius",
+        [(1, 1, 1), (7, 3, 10), (200, 4, 6), (333, 16, 32),
+         # the ends: one point, radius >= n, stride > n, both above n
+         (1, 4, 3), (4, 1, 4), (4, 2, 9), (5, 8, 2), (5, 6, 7)],
     )
     def test_matches_per_delta_loop(self, rng, n, stride, radius):
         labels = rng.integers(-1, 12, size=n)
@@ -105,6 +108,20 @@ class TestWindowVoteOracle:
         src, dst = per_delta_votes(labels, curves, stride, radius)
         assert votes.src.tolist() == src and votes.dst.tolist() == dst
         assert votes.src.dtype == votes.dst.dtype == np.int64
+
+    @pytest.mark.parametrize("stride, radius", [(1, 2), (3, 4), (5, 9)])
+    def test_sentinels_at_both_ends(self, rng, stride, radius):
+        # the first three and the last two points of the first curve are
+        # sentinels, beside the sentinels that pad the sequence
+        n = 41
+        perm = rng.permutation(n)
+        labels = rng.integers(0, 6, size=n)
+        labels[perm[:3]] = labels[perm[-2:]] = -1
+        curves = [perm, np.arange(n)]
+        votes = window_vote(labels, curves, stride, radius)
+        src, dst = per_delta_votes(labels, curves, stride, radius)
+        assert votes.src.tolist() == src and votes.dst.tolist() == dst
+        assert votes.n_edges > 0
 
 
 def dict_coalesce(edges):

@@ -72,6 +72,29 @@ class TestPly:
         cloud = load_ply(path)
         assert np.allclose(cloud.features[0], [1.0, 0.0, 0.2])
 
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_int16_and_uint16_properties(self, tmp_path, binary):
+        pos = np.array([[-32768, 0, 7], [32767, -5, 1]])
+        intensity = np.array([65535, 3])
+        header = (
+            "ply\nformat {} 1.0\nelement vertex 2\n"
+            "property int16 x\nproperty int16 y\nproperty int16 z\n"
+            "property uint16 intensity\nend_header\n"
+        ).format("binary_little_endian" if binary else "ascii")
+        if binary:
+            rec = np.empty(2, dtype=[("p", "<i2", 3), ("i", "<u2")])
+            rec["p"], rec["i"] = pos, intensity
+            body = rec.tobytes()
+        else:
+            body = "".join(
+                f"{x} {y} {z} {i}\n" for (x, y, z), i in zip(pos, intensity)
+            ).encode()
+        path = tmp_path / "i16.ply"
+        path.write_bytes(header.encode() + body)
+        cloud = load_ply(path)
+        assert np.array_equal(cloud.positions, pos.astype(np.float64))
+        assert np.allclose(cloud.features, 0.5)
+
     def test_binary_roundtrip_bit_identical(self, rng, tmp_path):
         cloud = make_cloud(rng)
         path = tmp_path / "r.ply"
@@ -705,6 +728,17 @@ class TestConfig:
             ({"sinkhorn_tol": float("inf")}, "sinkhorn_tol=inf"),
             ({"width": 5}, "width=5"),
             ({"width": 1}, "width=1"),
+            # int fields take integers only: no fractions, floats, bools or strings
+            ({"seed": 1.5}, "seed=1.5 must be an integer"),
+            ({"graph_k": 2.5}, "graph_k=2.5 must be an integer"),
+            ({"tokens": 16.5}, "tokens=16.5 must be an integer"),
+            ({"window": 64.0}, "window=64.0 must be an integer"),
+            ({"bits": 9.5}, "bits=9.5 must be an integer"),
+            ({"svd_rank": 8.5}, "svd_rank=8.5 must be an integer"),
+            ({"sample_n": 2500.5}, "sample_n=2500.5 must be an integer"),
+            ({"stride": True}, "stride=True must be an integer"),
+            ({"seed": False}, "seed=False must be an integer"),
+            ({"tokens": "16"}, "tokens='16' must be an integer"),
         ],
     )
     def test_rejected_at_construction(self, fields, named):
@@ -716,6 +750,8 @@ class TestConfig:
         assert (cfg.bits, cfg.stride) == (16, 8)
         assert PipelineConfig(bits=1).bits == 1
         assert PipelineConfig(width=6).width == 6
+        cfg = PipelineConfig(tokens=np.int64(32), seed=np.uint8(3))
+        assert (cfg.tokens, cfg.seed) == (32, 3)
 
     def test_seed_zero_allowed(self):
         assert PipelineConfig(seed=0).seed == 0

@@ -453,10 +453,10 @@ class TestChunkedPool:
 
     @pytest.mark.parametrize("case", CHUNK_CASES)
     def test_chunks_cut_at_label_starts(self, case, rng):
-        _, labels, _ = chunked_scene(case, rng)
+        _, labels, m = chunked_scene(case, rng)
         sorted_labels = np.sort(labels, kind="stable")
         n_sentinel = int((labels == -1).sum())
-        spans = list(_chunks(sorted_labels, n_sentinel))
+        spans = list(_chunks(label_counts(labels, m), n_sentinel))
         assert len(spans) >= 3
         assert spans[0][0] == 0 and spans[-1][1] == labels.size
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
@@ -467,10 +467,10 @@ class TestChunkedPool:
             assert hi - lo <= CHUNK_POINTS or one_label
 
     def test_chunk_boxes_differ_from_the_cloud_box(self, rng):
-        cloud, labels, _ = chunked_scene("chunk_box", rng)
+        cloud, labels, m = chunked_scene("chunk_box", rng)
         order = np.argsort(labels, kind="stable")
         _, span = bounding_box(cloud.positions)
-        for lo, hi in _chunks(labels[order], 0):
+        for lo, hi in _chunks(label_counts(labels, m), 0):
             _, chunk_span = bounding_box(cloud.positions[order[lo:hi]])
             assert chunk_span[0] < 0.5 * span[0]
 
