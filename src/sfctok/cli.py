@@ -13,6 +13,7 @@ from .bench import BENCH_CSV_COLUMNS, fit_loglog_slope, run_bench
 from .config import PipelineConfig, config_from_sources, parse_config_file
 from .core import build_partition
 from .errors import ConfigError, InvalidWeights, SfcTokError
+from .graph import ranked_edges
 from .pipeline import PipelineWeights, build_vote_graph, check_partition
 from .pipeline import run_pipeline, subsample
 from .tokenizer import voxel_superpoints
@@ -70,6 +71,8 @@ def _cmd_bench(args):
         ) from None
     if sizes != sorted(sizes) or sizes[0] < 1:
         raise ConfigError(f"--sizes {args.sizes!r} must be positive and ascending")
+    if args.trials < 1:
+        raise ConfigError(f"--trials {args.trials} must be at least 1")
     rows = run_bench(sizes, args.trials, cfg, oracle_cap=args.oracle_cap)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
@@ -105,8 +108,8 @@ def _cmd_graph_dump(args):
     )
     with open(args.out, "w") as fh:
         fh.write("src,dst,dist2,votes\n")
-        src = vote_graph.src
-        for s, t, d2, v in zip(src, vote_graph.dst, vote_graph.dist2, vote_graph.votes):
+        src, dst, votes, dist2 = ranked_edges(vote_graph, partition.centers)
+        for s, t, d2, v in zip(src, dst, dist2, votes):
             fh.write(f"{s},{t},{d2:.9g},{v}\n")
     print(f"edges={vote_graph.dst.shape[0]}")
     print(f"out={args.out}")

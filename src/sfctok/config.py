@@ -40,9 +40,10 @@ class PipelineConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
-            integral = isinstance(v, numbers.Integral) and not isinstance(v, bool)
-            if f.type == "int" and not integral:
-                raise ConfigError(f"config field {f.name}={v!r} must be an integer")
+            kind = numbers.Integral if f.type == "int" else numbers.Real
+            if isinstance(v, bool) or not isinstance(v, kind):
+                noun = "an integer" if f.type == "int" else "a real number"
+                raise ConfigError(f"config field {f.name}={v!r} must be {noun}")
             if f.name == "seed":
                 if v < 0:
                     raise ConfigError(f"config field seed={v} must be nonnegative")

@@ -6,8 +6,8 @@ transformed, and reassembled by squared-Hann overlap-add. The per-curve
 results are fused by uniform averaging and added back as a residual.
 
 The mix is linear along the token axis and the same for every channel, so
-it is a K x K matrix acting on the sequence; ``_mix_operator`` builds its
-rows from identity windows. ``_mix_operators`` cuts it into pieces, each
+it is a K x K matrix acting on the sequence, which ``_mix_operator`` builds
+whole from identity windows. ``_mix_operators`` cuts it into pieces, each
 an operator with its row and column offsets and a count of stride blocks
 that share it: one piece each for the head rows, the interior blocks and
 the tail rows (or one for the whole matrix on a short sequence).
@@ -79,34 +79,31 @@ def squared_hann(window: int):
     return h * h
 
 
-def _mix_operator(n, cfg: EnhancerConfig, lo, hi):
-    """Rows lo..hi-1 of the n x n matrix that windowed-mixes a length-n sequence.
+def _mix_operator(n, cfg: EnhancerConfig):
+    """The n x n matrix that windowed-mixes a length-n sequence.
 
     Windows start at 0, stride, 2*stride, ... and are clipped at n (the gate
-    truncates to the shorter bin count). Each covering window contributes
-    the gated rFFT round trip of the identity, placed at its columns and
+    truncates to the shorter bin count). Each window contributes the gated
+    rFFT round trip of the identity, placed at its rows and columns and
     weighted by squared Hann; a row is divided by its total weight, or takes
     the plain average of its windows where that weight vanishes (window
-    endpoints with no overlap). Only windows reaching rows lo..hi-1 are built.
+    endpoints with no overlap).
     """
     L, R = cfg.window, cfg.stride
     w = squared_hann(L)
-    acc = np.zeros((hi - lo, n))
-    acc_w = np.zeros(hi - lo)
-    acc_plain = np.zeros((hi - lo, n))
-    count = np.zeros(hi - lo)
-    first = max(0, -(-(lo - L + 1) // R))
-    for s0 in range(first * R, hi, R):
+    acc = np.zeros((n, n))
+    acc_w = np.zeros(n)
+    acc_plain = np.zeros((n, n))
+    count = np.zeros(n)
+    for s0 in range(0, n, R):
         end = min(s0 + L, n)
         spectrum = rfft_forward(np.eye(end - s0), axis=0)
         spectrum *= cfg.gate[: (end - s0) // 2 + 1, None]
         mixed = rfft_inverse(spectrum, n=end - s0, axis=0)
-        a, b = max(s0, lo), min(end, hi)
-        part = mixed[a - s0 : b - s0]
-        acc[a - lo : b - lo, s0:end] += part * w[a - s0 : b - s0, None]
-        acc_w[a - lo : b - lo] += w[a - s0 : b - s0]
-        acc_plain[a - lo : b - lo, s0:end] += part
-        count[a - lo : b - lo] += 1.0
+        acc[s0:end, s0:end] += mixed * w[: end - s0, None]
+        acc_w[s0:end] += w[: end - s0]
+        acc_plain[s0:end, s0:end] += mixed
+        count[s0:end] += 1.0
     out = acc_plain / count[:, None]
     weighted = acc_w > ZERO_WEIGHT_EPS
     out[weighted] = acc[weighted] / acc_w[weighted, None]
@@ -122,23 +119,25 @@ def _mix_operators(k, cfg: EnhancerConfig):
     The interior piece holds the R x span operator, span = (m-1)R + L with
     m = ceil(L/R), that every stride block covered by m full windows shares.
     The head rows before its blocks and the tail rows after them are
-    one-block pieces. Below span rows one piece holds the k x k operator.
-    Pieces without rows are dropped.
+    one-block pieces. The head and interior pieces are rows of the span x
+    span operator; the tail piece is rows of the operator of x[t0:], t0
+    the start of the first window covering the tail. Below span rows one
+    piece holds the k x k operator. Pieces without rows are dropped.
     """
     L, R = cfg.window, cfg.stride
     head = (-(-L // R) - 1) * R
     span = head + L
     if k < span:
-        pieces = [(_mix_operator(k, cfg, 0, k), 0, 0, 1)]
+        pieces = [(_mix_operator(k, cfg), 0, 0, 1)]
     else:
         n_blocks = (k - span) // R + 1
         tail = head + n_blocks * R
         t0 = -(-(tail - L + 1) // R) * R  # start of the first window covering row tail
-        body = _mix_operator(span, cfg, 0, head + R)
+        body = _mix_operator(span, cfg)[: head + R]
         pieces = [
             (body[:head], 0, 0, 1),
             (body[head:], head, 0, n_blocks),
-            (_mix_operator(k - t0, cfg, tail - t0, k - t0), tail, t0, 1),
+            (_mix_operator(k - t0, cfg)[tail - t0 :], tail, t0, 1),
         ]
     return tuple(piece for piece in pieces if piece[0].shape[0])
 
@@ -146,7 +145,7 @@ def _mix_operators(k, cfg: EnhancerConfig):
 def windowed_mix(seq, cfg: EnhancerConfig, order=None, out=None, ops=None):
     """Add the windowed mix of ``seq[order]`` into ``out[order]``; return ``out``.
 
-    The mix of a K x d sequence is ``_mix_operator(K, cfg, 0, K) @ seq``: the
+    The mix of a K x d sequence is ``_mix_operator(K, cfg) @ seq``: the
     squared-Hann overlap-add of the gated windows, with the plain average
     where that weight vanishes, so an all-ones gate is exactly the identity
     and an all-zeros gate annihilates.

@@ -3,9 +3,10 @@
 Votes are cast between the superpoints of points that fall in the same
 short window of each SFC-sorted point sequence, one unit vote per record.
 Duplicates are counted off one sort of packed (src, dst) keys; candidates
-are re-ranked per source by (center distance^2 asc, votes desc, dst asc)
+are ranked per source by (center distance^2 asc, votes desc, dst asc)
 with a stable sort of narrow integer keys, truncated to k, symmetrized
-by a sparse elementwise-maximum union, and normalized symmetrically.
+by a sparse elementwise-maximum union kept in CSR order, and normalized
+symmetrically; ``ranked_edges`` ranks the union again for ``graph-dump``.
 """
 
 from __future__ import annotations
@@ -43,16 +44,15 @@ class VoteBatch:
 
 @dataclass(frozen=True)
 class SparseVoteGraph:
-    """Symmetrized top-k neighbor lists in CSR-like form.
+    """Symmetrized top-k neighbor lists in canonical CSR form.
 
     Edges are grouped by source via ``indptr``; within each source they are
-    sorted by (distance^2 asc, votes desc, dst asc).
+    sorted by ascending ``dst``, each once.
     """
 
     n_nodes: int
     indptr: np.ndarray  # (M+1,)
     dst: np.ndarray  # (E,)
-    dist2: np.ndarray  # (E,)
     votes: np.ndarray  # (E,)
 
     @property
@@ -98,7 +98,10 @@ def window_vote(labels, curve_orders, stride, radius) -> VoteBatch:
 
 
 def candidate_pair_count(n_points, stride, radius, n_curves=4):
-    """Number of examined (anchor, window position) pairs, self included."""
+    """Number of in-range window slots over all anchors, each anchor's own
+    included; ``window_vote`` visits 2 * radius padded slots per anchor instead,
+    never the anchor itself.
+    """
     anchors = np.arange(0, n_points, stride)
     lo = np.maximum(anchors - radius, 0)
     hi = np.minimum(anchors + radius, n_points - 1)
@@ -170,8 +173,9 @@ def rerank_topk(batch: VoteBatch, centers, k) -> SparseVoteGraph:
 
     The union is the elementwise maximum of the kept (src, dst) -> votes
     matrix and its transpose: an edge kept in both directions carries the
-    higher of its two vote counts. ``centers`` must be finite, with a row
-    for every superpoint id in the batch.
+    higher of its two vote counts. The graph is the union's canonical CSR,
+    each source's neighbors in ascending id. ``centers`` must be finite,
+    with a row for every superpoint id in the batch.
     """
     if not batch.coalesced:
         raise ConfigError("batch must be coalesced before re-ranking")
@@ -194,27 +198,25 @@ def rerank_topk(batch: VoteBatch, centers, k) -> SparseVoteGraph:
     kept = sp.csr_matrix((votes[keep], (src[keep], dst[keep])), shape=(m, m))
     union = kept.maximum(kept.T)
     union.sum_duplicates()  # canonical: each row's columns ascending, once
+    indptr, dst = union.indptr.astype(np.int64), union.indices.astype(np.int64)
+    return SparseVoteGraph(n_nodes=m, indptr=indptr, dst=dst, votes=union.data)
 
-    indptr = union.indptr.astype(np.int64)
-    src = np.repeat(np.arange(m), np.diff(indptr))
-    _, dst, votes, dist2 = _ranked(
-        src, union.indices.astype(np.int64), union.data, centers
-    )
-    return SparseVoteGraph(n_nodes=m, indptr=indptr, dst=dst, dist2=dist2, votes=votes)
+
+def ranked_edges(g: SparseVoteGraph, centers):
+    """(src, dst, votes, dist2) of the edges, sorted by (src, dist^2, -votes, dst)."""
+    return _ranked(g.src, g.dst, g.votes, np.asarray(centers, dtype=np.float64))
 
 
 def normalized_adjacency(g: SparseVoteGraph) -> sp.csr_matrix:
     """D^{-1/2} A D^{-1/2} over the binary symmetric adjacency.
 
     Isolated nodes contribute all-zero rows rather than a division error.
-    The graph's own (indptr, dst) lists are the CSR structure; sorting each
-    row's columns fixes the summation order of products with it.
+    The graph's own (indptr, dst) lists are the CSR structure, each row's
+    columns ascending, which fixes the summation order of products with it.
     """
     deg = np.diff(g.indptr).astype(np.float64)
     inv_sqrt = np.zeros_like(deg)
     nz = deg > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
     vals = inv_sqrt[g.src] * inv_sqrt[g.dst]
-    return sp.csr_matrix(
-        (vals, g.dst, g.indptr), shape=(g.n_nodes, g.n_nodes)
-    ).sorted_indices()
+    return sp.csr_matrix((vals, g.dst, g.indptr), shape=(g.n_nodes, g.n_nodes))

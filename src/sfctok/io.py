@@ -103,9 +103,10 @@ def _parse_ply_header(data):
 
 def load_ply(path) -> PointCloud:
     """Read an ASCII or binary-little-endian PLY with x,y,z and optional
-    red,green,blue (u8, scaled to [0,1]) and nx,ny,nz properties.
+    red,green,blue (uchar, scaled to [0,1]) and nx,ny,nz properties.
 
-    Missing colors fill 0.5. When ``vertex`` is the last element, the body
+    Missing colors fill 0.5; a color of another type raises
+    ``UnsupportedProperty``. When ``vertex`` is the last element, the body
     must hold exactly its data.
     """
     with open(path, "rb") as fh:
@@ -115,6 +116,9 @@ def load_ply(path) -> PointCloud:
     for axis in ("x", "y", "z"):
         if axis not in names:
             raise ParseError(f"missing vertex property {axis}", offset=0)
+    for name, typ in props:
+        if name in ("red", "green", "blue") and _PLY_TYPES[typ] != "u1":
+            raise UnsupportedProperty(f"color property {name} of type {typ}, not uchar")
 
     if fmt == "ascii":
         rows = data[body_off:].decode("ascii", errors="replace").split()

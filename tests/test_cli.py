@@ -347,6 +347,19 @@ class TestCli:
         assert int(src) >= 0 and int(dst) >= 0
         assert float(d2) >= 0 and int(votes) >= 1
 
+    def test_graph_dump_rank_order_with_labels(self, scene_ply, tmp_path, capsys):
+        lab = tmp_path / "lab.txt"
+        lab.write_text("\n".join(str(i % 60) for i in range(4000)) + "\n")
+        out = tmp_path / "edges.csv"
+        rc = main(["graph-dump", str(scene_ply), "--labels", str(lab), "--out", str(out)])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert capsys.readouterr().out.startswith(f"edges={len(rows)}\n") and rows
+        edges = {(s, t) for s, t, _, _ in rows}
+        assert all((t, s) in edges for s, t in edges)
+        for (s, _, d2, _), (s_next, _, d2_next, _) in zip(rows, rows[1:]):
+            assert int(s) < int(s_next) or (s == s_next and float(d2) <= float(d2_next))
+
     def test_inspect(self, scene_ply, tmp_path, capsys):
         out = tmp_path / "o.tok"
         main(["tokenize", str(scene_ply), "--out", str(out), *SMALL])
@@ -408,6 +421,15 @@ class TestCli:
         assert main(["bench", "--sizes", "abc"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--sizes 'abc'" in err
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_bench_trials_below_one_reports_error(self, tmp_path, capsys, trials):
+        out = tmp_path / "bench.csv"
+        rc = main(["bench", "--sizes", "1000", "--trials", trials, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"--trials {trials}" in err
+        assert not out.exists()
 
     def test_saved_seeded_weights_match_default(self, scene_ply, tmp_path):
         path = tmp_path / "w.npz"

@@ -385,7 +385,7 @@ class TestMixOperators:
             full = np.zeros((k, k))
             for op, (rows, cols) in zip(ops, piece_rows_cols(pieces)):
                 full[np.ix_(rows, cols)] = op
-            assert np.array_equal(full, _mix_operator(k, cfg, 0, k)), k
+            assert np.array_equal(full, _mix_operator(k, cfg)), k
 
 
 def test_enhance_holds_one_sum():

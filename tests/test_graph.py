@@ -15,6 +15,7 @@ from sfctok.graph import (
     candidate_pair_count,
     coalesce,
     normalized_adjacency,
+    ranked_edges,
     rerank_topk,
     window_vote,
 )
@@ -229,7 +230,7 @@ class TestRerankTopk:
                     expected[key] = (d2, max(old_v, -nv))
         built = {
             (int(s), int(t)): (float(d2), int(v))
-            for s, t, d2, v in zip(g.src, g.dst, g.dist2, g.votes)
+            for s, t, v, d2 in zip(*ranked_edges(g, centers))
         }
         assert built.keys() == expected.keys()
         for key, (d2, v) in expected.items():
@@ -265,9 +266,11 @@ class TestRerankTopk:
         expected = {s: [] for s in range(m)}
         for (s, t), v in union.items():
             expected[s].append((float(((centers[s] - centers[t]) ** 2).sum()), -v, t))
+        src, dst, votes, dist2 = ranked_edges(g, centers)
         for s in range(m):
             lo, hi = g.indptr[s], g.indptr[s + 1]
-            keys = (g.dist2[lo:hi], -g.votes[lo:hi], g.dst[lo:hi])
+            assert np.array_equal(src[lo:hi], np.full(hi - lo, s))
+            keys = (dist2[lo:hi], -votes[lo:hi], dst[lo:hi])
             assert list(zip(*(a.tolist() for a in keys))) == sorted(expected[s])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -303,10 +306,25 @@ class TestRerankTopk:
         dst = (src + rng.integers(1, m, size=300)) % m
         batch = coalesce(batch_from(list(zip(src, dst, np.ones(300, int)))))
         g = rerank_topk(batch, centers, k=5)
+        _, dst, votes, dist2 = ranked_edges(g, centers)
         for s in range(m):
             lo, hi = g.indptr[s], g.indptr[s + 1]
-            keys = list(zip(g.dist2[lo:hi], -g.votes[lo:hi], g.dst[lo:hi]))
+            keys = list(zip(dist2[lo:hi], -votes[lo:hi], dst[lo:hi]))
             assert keys == sorted(keys)
+
+    def test_csr_order_with_both_directions(self, rng):
+        m = 30
+        centers = rng.uniform(size=(m, 3))
+        src = rng.integers(0, m, size=300)
+        dst = (src + rng.integers(1, m, size=300)) % m
+        batch = coalesce(batch_from(list(zip(src, dst, rng.integers(1, 4, size=300)))))
+        g = rerank_topk(batch, centers, k=4)
+        assert g.indptr[0] == 0 and g.indptr[-1] == g.dst.shape[0]
+        for s in range(m):
+            assert (np.diff(g.neighbors(s)) > 0).all()  # strictly ascending
+        edges = dict(zip(zip(g.src.tolist(), g.dst.tolist()), g.votes.tolist()))
+        assert all(edges.get((t, s)) == v for (s, t), v in edges.items())
+        assert edges and all(s != t for s, t in edges)
 
 
 class TestNormalizedAdjacency:
@@ -330,6 +348,24 @@ class TestNormalizedAdjacency:
         g = self.graph_of([(0, 1)], 3)
         a = normalized_adjacency(g).toarray()
         assert np.allclose(a[2], 0.0)
+
+    def test_matches_dense_oracle(self, rng):
+        m = 30
+        src = rng.integers(0, m, size=200)
+        dst = (src + rng.integers(1, m, size=200)) % m
+        batch = coalesce(batch_from(list(zip(src, dst, np.ones(200, int)))))
+        g = rerank_topk(batch, rng.uniform(size=(m, 3)), k=3)
+        a = np.zeros((m, m))
+        a[g.src, g.dst] = 1.0
+        deg = a.sum(axis=1)
+        inv_sqrt = np.zeros(m)
+        inv_sqrt[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
+        got = normalized_adjacency(g)
+        # the graph's own CSR arrays, already canonical
+        assert got.has_canonical_format
+        assert np.array_equal(got.indptr, g.indptr)
+        assert np.array_equal(got.indices, g.dst)
+        assert np.array_equal(got.toarray(), inv_sqrt[:, None] * a * inv_sqrt)
 
     def test_spectral_radius_at_most_one(self, rng):
         for _ in range(5):

@@ -72,6 +72,36 @@ class TestPly:
         cloud = load_ply(path)
         assert np.allclose(cloud.features[0], [1.0, 0.0, 0.2])
 
+    @staticmethod
+    def colored(binary, typ, value):
+        """One vertex at the origin with all three colors of PLY type ``typ``."""
+        header = (
+            f"ply\nformat {'binary_little_endian' if binary else 'ascii'} 1.0\n"
+            "element vertex 1\nproperty float x\nproperty float y\nproperty float z\n"
+            + "".join(f"property {typ} {c}\n" for c in ("red", "green", "blue"))
+            + "end_header\n"
+        ).encode()
+        if not binary:
+            return header + f"0 0 0 {value} {value} {value}\n".encode()
+        code = {"uint8": "u1", "float": "<f4", "ushort": "<u2", "double": "<f8"}[typ]
+        return header + bytes(12) + np.full(3, value, dtype=code).tobytes()
+
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize(
+        "typ, value", [("float", 1.0), ("ushort", 65535), ("double", 0.5)]
+    )
+    def test_color_not_uchar_rejected(self, tmp_path, binary, typ, value):
+        path = tmp_path / "c.ply"
+        path.write_bytes(self.colored(binary, typ, value))
+        with pytest.raises(UnsupportedProperty, match=f"red of type {typ}"):
+            load_ply(path)
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_uint8_color_loads(self, tmp_path, binary):
+        path = tmp_path / "c.ply"
+        path.write_bytes(self.colored(binary, "uint8", 51))
+        assert np.allclose(load_ply(path).features, 0.2)
+
     @pytest.mark.parametrize("binary", [False, True])
     def test_int16_and_uint16_properties(self, tmp_path, binary):
         pos = np.array([[-32768, 0, 7], [32767, -5, 1]])
@@ -739,6 +769,12 @@ class TestConfig:
             ({"stride": True}, "stride=True must be an integer"),
             ({"seed": False}, "seed=False must be an integer"),
             ({"tokens": "16"}, "tokens='16' must be an integer"),
+            # float fields take real numbers only: no strings, None, complex or bools
+            ({"tau": "0.1"}, "tau='0.1' must be a real number"),
+            ({"voxel_cell": None}, "voxel_cell=None must be a real number"),
+            ({"voxel_cell": 1 + 0j}, r"voxel_cell=\(1\+0j\) must be a real number"),
+            ({"tau": True}, "tau=True must be a real number"),
+            ({"sinkhorn_tol": np.bool_(False)}, "sinkhorn_tol=.*False_? must be a real"),
         ],
     )
     def test_rejected_at_construction(self, fields, named):
