@@ -8,6 +8,7 @@ values from a seed, and weight files store the shapes and values alone.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,11 +81,27 @@ class SeededWeights:
     """Flat forward-only MLP parameters.
 
     Per layer of shape (fan_in, fan_out) the flat array stores fan_in*fan_out
-    weight entries (row-major) followed by fan_out bias entries.
+    weight entries (row-major) followed by fan_out bias entries. A stack
+    checks itself: construction raises ``InvalidShape`` unless the shapes
+    chain (``_layer_shapes``) and the values are a 1-D real array of exactly
+    as many finite entries, which it stores as float64.
     """
 
     shapes: tuple  # ((fan_in, fan_out), ...)
     values: np.ndarray  # (sum of fan_in*fan_out + fan_out,)
+
+    def __post_init__(self):
+        shapes = _layer_shapes(self.shapes)
+        values = np.asarray(self.values)
+        if values.dtype.kind not in "iuf":
+            raise InvalidShape(f"values has dtype {values.dtype}, not real numbers")
+        expected = sum(fi * fo + fo for fi, fo in shapes)
+        if values.shape != (expected,):
+            raise InvalidShape(f"values has shape {values.shape}; shapes need ({expected},)")
+        if not np.isfinite(values).all():
+            raise InvalidShape("values holds a NaN or inf")
+        object.__setattr__(self, "shapes", shapes)
+        object.__setattr__(self, "values", values.astype(np.float64, copy=False))
 
     def layer(self, i):
         """Return (W, b) for layer i as views into the flat value array."""
@@ -136,13 +153,14 @@ def validate_cloud(cloud: PointCloud) -> None:
 
 def validate_partition(partition: SuperpointPartition, n_points) -> None:
     """Check that ``partition`` gives each of ``n_points`` points an integer
-    label in [-1, M-1] and has M finite (M, 3) centers; raise one typed error."""
+    label in [-1, M-1], uses every label 0..M-1, and has M finite (M, 3)
+    centers; raise one typed error."""
     labels, centers = np.asarray(partition.labels), np.asarray(partition.centers)
     if centers.ndim != 2 or centers.shape[1] != 3 or not np.isfinite(centers).all():
         raise InvalidPartition(
             f"partition centers of shape {centers.shape} are not finite (M, 3)"
         )
-    _check_labels(labels, n_points, centers.shape[0])
+    label_counts(labels, _check_labels(labels, n_points, centers.shape[0]))
 
 
 def _check_labels(labels, n_points, m=None):
@@ -171,6 +189,26 @@ def _first_non_finite_row(a):
     return int(np.flatnonzero(~np.isfinite(a).all(axis=1))[0])
 
 
+def _layer_shapes(shapes):
+    """``shapes`` as a tuple of int (fan_in, fan_out) pairs; raise
+    ``InvalidShape`` unless each is a pair of positive integers (not bools)
+    and each fan-in equals the previous layer's fan-out."""
+    try:
+        pairs = tuple((fi, fo) for fi, fo in shapes)
+    except (TypeError, ValueError):
+        pairs = ((None, None),)  # not a sequence of pairs: fails below
+    for v in (v for pair in pairs for v in pair):
+        if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < 1:
+            raise InvalidShape("shapes must be integer rows of positive (fan_in, fan_out)")
+    pairs = tuple((int(fi), int(fo)) for fi, fo in pairs)
+    for i, ((fan_in, _), (_, fan_out)) in enumerate(zip(pairs[1:], pairs), 1):
+        if fan_in != fan_out:
+            raise InvalidShape(
+                f"shapes: layer {i} fan-in {fan_in} != layer {i - 1} fan-out {fan_out}"
+            )
+    return pairs
+
+
 def seeded_init(seed: int, shapes) -> SeededWeights:
     """Deterministic Xavier-uniform initialization for a stack of layers.
 
@@ -179,10 +217,7 @@ def seeded_init(seed: int, shapes) -> SeededWeights:
     platforms for equal (seed, shapes): values come from a PCG64 stream keyed
     by the seed alone.
     """
-    shapes = tuple((int(fi), int(fo)) for fi, fo in shapes)
-    for fi, fo in shapes:
-        if fi < 1 or fo < 1:
-            raise InvalidShape(f"layer shape ({fi}, {fo})")
+    shapes = _layer_shapes(shapes)
     rng = np.random.Generator(np.random.PCG64(seed))
     chunks = []
     for fi, fo in shapes:

@@ -72,13 +72,15 @@ def window_vote(labels, curve_orders, stride, radius) -> VoteBatch:
     stride, 2*stride, ... of each order; the window spans [p - radius,
     p + radius]. Sentinel-labeled points never vote. Each curve's label
     sequence is padded with ``radius`` sentinels at both ends, so window
-    positions outside the sequence cast no vote either. Records come in
-    curve, then offset, then anchor order.
+    positions outside the sequence cast no vote either; a radius above the
+    point count N is taken as N, which drops only such positions. Records
+    come in curve, then offset, then anchor order.
     """
     if stride < 1 or radius < 1:
         raise ConfigError("stride and radius must be >= 1")
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.shape[0]
+    radius = min(radius, n)  # slots n or more from an anchor are padding
     anchors = np.arange(radius, n + radius, stride)  # in the padded sequence
     deltas = np.concatenate((np.arange(-radius, 0), np.arange(1, radius + 1)))
     at = deltas[:, None] + anchors  # window positions, offset-major

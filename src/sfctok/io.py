@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import PointCloud, SeededWeights, TokenMatrix, validate_cloud
 from .errors import (
+    InvalidShape,
     InvalidWeights,
     LengthMismatch,
     NoValidSuperpoints,
@@ -301,9 +302,7 @@ def load_weights(path):
     Every ``<name>.values`` array names a stack; other arrays are ignored.
     Raises ``InvalidWeights`` naming the file when it is not an .npz that
     numpy can read without pickle, and naming the array when a stack's
-    ``.shapes`` is missing, is not integer, or its layer shapes do not chain,
-    or its ``.values`` are not real numbers, hold a NaN or inf, or are not
-    as many as the shapes need.
+    ``.shapes`` is missing or ``SeededWeights`` refuses the stack.
     """
     with open(path, "rb") as fh:
         if fh.read(4) not in (b"PK\x03\x04", b"PK\x05\x06"):  # np.load's zip test
@@ -320,36 +319,10 @@ def load_weights(path):
 
 
 def _weight_stack(arrays, stem, path):
-    """The SeededWeights stored under ``stem``, checked against its shapes."""
-    name = f"{path}: {stem}"
+    """The SeededWeights stored under ``stem``; the type checks the stack."""
     if f"{stem}.shapes" not in arrays:
-        raise InvalidWeights(f"{name}.shapes is missing")
-    shapes = arrays[f"{stem}.shapes"]
-    if (
-        not np.issubdtype(shapes.dtype, np.integer)
-        or shapes.ndim != 2
-        or shapes.shape[1] != 2
-        or (shapes < 1).any()
-    ):
-        raise InvalidWeights(
-            f"{name}.shapes must be integer rows of positive (fan_in, fan_out)"
-        )
-    shapes = tuple((int(fi), int(fo)) for fi, fo in shapes)
-    for i in range(1, len(shapes)):
-        if shapes[i][0] != shapes[i - 1][1]:
-            raise InvalidWeights(
-                f"{name}.shapes: layer {i} fan-in {shapes[i][0]} "
-                f"!= layer {i - 1} fan-out {shapes[i - 1][1]}"
-            )
-    values = arrays[f"{stem}.values"]
-    if values.dtype.kind not in "iuf":
-        raise InvalidWeights(f"{name}.values has dtype {values.dtype}, not real numbers")
-    expected = sum(fi * fo + fo for fi, fo in shapes)
-    if values.shape != (expected,):
-        raise InvalidWeights(
-            f"{name}.values has shape {values.shape}; {stem}.shapes need ({expected},)"
-        )
-    values = values.astype(np.float64, copy=False)
-    if not np.isfinite(values).all():
-        raise InvalidWeights(f"{name}.values holds a NaN or inf")
-    return SeededWeights(shapes=shapes, values=values)
+        raise InvalidWeights(f"{path}: {stem}.shapes is missing")
+    try:
+        return SeededWeights(arrays[f"{stem}.shapes"], arrays[f"{stem}.values"])
+    except InvalidShape as exc:
+        raise InvalidWeights(f"{path}: {stem}.{exc}") from None

@@ -109,7 +109,8 @@ class _Stage:
 
     def __exit__(self, exc_type, exc, tb):
         self.timings[self.name] = time.perf_counter() - self.t0
-        if exc is not None and not isinstance(exc, StageError):
+        # a KeyboardInterrupt or SystemExit is no error of the stage
+        if isinstance(exc, Exception) and not isinstance(exc, StageError):
             raise StageError(self.name, exc) from exc
         return False
 

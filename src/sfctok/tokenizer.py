@@ -10,12 +10,13 @@ last layer runs once per superpoint instead of once per point. Also hosts
 the voxel fallback segmenter.
 
 The point rows are never held in full. ``superpoint_pool`` sorts the points
-by label once and streams them in chunks of about ``CHUNK_POINTS`` points
-that hold whole superpoints; each chunk's rows are made in one reused
-buffer and averaged into one (M, h+d) array. Memory is O(M (h+d) + chunk
-(h+d)), not O(N (h+d)). Each mean adds its rows in ascending point order,
-as one product over all points would, and the embedding box comes from the
-whole cloud, so the tokens do not depend on the chunking.
+by label once and streams them in chunks of about ``CHUNK_POINTS`` points,
+none mixing sentinel and labeled points; labeled chunks hold whole
+superpoints. Each chunk's rows are made in one reused buffer and averaged
+into one (M, h+d) array. Memory is O(M (h+d) + chunk (h+d)), not O(N (h+d)).
+Each mean adds its rows in ascending point order, as one product over all
+points would, and the embedding box comes from the whole cloud, so the
+tokens do not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .core import (
 )
 from .errors import ConfigError, ShapeMismatch, WidthTooSmall
 
-# Points per chunk of the tokenize stream. Chunks hold whole superpoints, so
-# a superpoint with more points than this gets a chunk of its own. At 1024
+# Points per chunk of the tokenize stream. Labeled chunks hold whole
+# superpoints, so one may run past this by up to the largest one. At 1024
 # points a chunk's (2, 3, F, K) embedding work rows stay in cache for their
 # transposed copy into the (K, d) layout, and its rows take 4 MB at
 # h + d = 512.
@@ -139,12 +140,11 @@ def fourier_embed(positions, d, box=None, out=None):
 def mlp_project(features, weights: SeededWeights):
     """Forward pass of the shallow point-feature MLP (ReLU between layers)."""
     x = np.asarray(features, dtype=np.float64)
+    # the stack's layers chain, so only the input can miss a fan-in
+    if weights.n_layers and x.shape[1] != weights.shapes[0][0]:
+        raise ShapeMismatch(f"input width {x.shape[1]} != fan-in {weights.shapes[0][0]}")
     for i in range(weights.n_layers):
         w, b = weights.layer(i)
-        if x.shape[1] != w.shape[0]:
-            raise ShapeMismatch(
-                f"layer {i}: input width {x.shape[1]} != fan-in {w.shape[0]}"
-            )
         x = x @ w
         x += b
         if i < weights.n_layers - 1:
@@ -183,61 +183,46 @@ def point_tokens(cloud: PointCloud, weights: SeededWeights, box=None, out=None):
     return x0
 
 
-def _chunks(counts, n_sentinel):
-    """(lo, hi) spans of the label-sorted points, about CHUNK_POINTS each.
-
-    The points sort as ``n_sentinel`` sentinels, then ``counts[j]`` points
-    of each label j. Cuts fall at label starts, or anywhere in the leading
-    sentinel run, so every chunk holds whole superpoints.
-    """
-    cuts = np.concatenate((
-        np.arange(0, n_sentinel, CHUNK_POINTS),
-        n_sentinel + np.cumsum(np.append(0, counts)),  # label starts, then the end
-    ))
-    lo = 0
-    while lo < cuts[-1]:
-        hi = cuts[np.searchsorted(cuts, lo + CHUNK_POINTS, side="right") - 1]
-        if hi <= lo:  # the superpoint at lo alone exceeds a chunk
-            hi = cuts[np.searchsorted(cuts, lo, side="right")]
-        yield lo, int(hi)
-        lo = int(hi)
-
-
 def superpoint_pool(
     cloud: PointCloud, part: SuperpointPartition, weights: SeededWeights
 ) -> TokenMatrix:
     """Superpoint tokens of ``cloud``, as wide as the point MLP's fan-out;
     sentinel points are excluded.
 
-    The points are sorted by label once and streamed in chunks of whole
-    superpoints. Each chunk's ``point_tokens`` rows (with the whole cloud's
-    box, written into one reused buffer) are averaged per label into one
-    (M, h+d) array; then the MLP's last layer runs over the h hidden columns
-    of each mean, plus the mean of the embedding columns. Every point goes
-    through ``point_tokens`` once.
+    The points are sorted by label once, the n_sentinel sentinels (-1)
+    first, and cut every ``CHUNK_POINTS`` points inside the sentinel run, at
+    n_sentinel, and past it at the first label start at or after every
+    ``CHUNK_POINTS``-th point. So no chunk mixes sentinel and labeled points,
+    and a labeled chunk holds whole superpoints and is shorter than
+    ``CHUNK_POINTS`` plus the largest one. Each chunk's ``point_tokens`` rows
+    (with the whole cloud's box, in one reused buffer) are averaged per label
+    into one (M, h+d) array; sentinel rows are dropped. Then the MLP's last
+    layer runs over the h hidden columns of each mean, plus the mean of the
+    embedding columns. Every point goes through ``point_tokens`` once.
     """
     _, head = _split_head(weights)
     h, d = head.shapes[0]
     labels = np.asarray(part.labels, dtype=np.int64)
-    counts = label_counts(labels, part.n_superpoints)
-    n_sentinel = labels.shape[0] - int(counts.sum())
+    n, counts = labels.shape[0], label_counts(labels, part.n_superpoints)
+    n_sentinel = n - int(counts.sum())
     # sentinels (-1) first; labels + 1 <= M
     order = stable_order([(labels + 1, part.n_superpoints.bit_length())])
     box = bounding_box(cloud.positions)
-    spans = list(_chunks(counts, n_sentinel))
-    buf = np.empty((max((hi - lo for lo, hi in spans), default=0), h + d))
+    starts = np.append(n_sentinel + np.cumsum(counts) - counts, n)  # label starts, n
+    past = starts[np.searchsorted(starts, np.arange(n_sentinel, n, CHUNK_POINTS))]
+    cuts = np.unique(np.concatenate(
+        (np.arange(0, n_sentinel, CHUNK_POINTS), past, [n_sentinel, n])
+    ))
+    buf = np.empty((np.diff(cuts).max(initial=0), h + d))
     pooled = np.empty((part.n_superpoints, h + d))
-    for lo, hi in spans:
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
         idx = order[lo:hi]
         chunk = PointCloud(positions=cloud.positions[idx], features=cloud.features[idx])
         rows = point_tokens(chunk, weights, box, buf[: hi - lo])
-        skip = max(n_sentinel - lo, 0)
-        if skip < hi - lo:
-            lab = labels[idx[skip:]]
+        if lo >= n_sentinel:  # sentinel chunks are tokenized, then dropped
+            lab = labels[idx]
             first, last = lab[0], lab[-1]
-            pooled[first : last + 1] = segment_mean(
-                lab - first, last + 1 - first, rows[skip:]
-            )
+            pooled[first : last + 1] = segment_mean(lab - first, last + 1 - first, rows)
     feats = mlp_project(pooled[:, :h], head)
     feats += pooled[:, h:]
     return TokenMatrix(feats=feats, centers=part.centers)

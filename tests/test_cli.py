@@ -17,6 +17,7 @@ from sfctok.config import PipelineConfig
 from sfctok import pipeline
 from sfctok.core import PointCloud, build_partition, seeded_init
 from sfctok.errors import (
+    EmptySuperpoint,
     InvalidPartition,
     LengthMismatch,
     NonFiniteCoordinate,
@@ -162,6 +163,15 @@ class TestPipeline:
         m = partition.n_superpoints
         partition = dataclasses.replace(partition, **edit(partition, m))
         with pytest.raises(InvalidPartition, match=match.format(m=m, m1=m - 1)):
+            run_pipeline(cloud, cfg, partition=partition)
+
+    def test_empty_superpoint_rejected_at_entry(self, no_stage_runs):
+        cloud = make_scene(3000, seed=3)
+        cfg = PipelineConfig(sample_n=3000, tokens=16, voxel_cell=0.5)
+        partition = voxel_superpoints(cloud, cfg.voxel_cell)
+        labels = np.where(partition.labels == 50, -1, partition.labels)
+        partition = dataclasses.replace(partition, labels=labels)
+        with pytest.raises(EmptySuperpoint, match="superpoint 50 has no points"):
             run_pipeline(cloud, cfg, partition=partition)
 
     @pytest.mark.parametrize("name, shapes", [
@@ -431,6 +441,15 @@ class TestCli:
         assert err.startswith("error:") and f"--trials {trials}" in err
         assert not out.exists()
 
+    def test_interrupt_in_a_stage_is_not_an_error(self, scene_ply, tmp_path, monkeypatch):
+        # Ctrl-C inside a stage reaches the caller as itself, not as StageError
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline.tokenizer, "superpoint_pool", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["tokenize", str(scene_ply), "--out", str(tmp_path / "o.tok"), *SMALL])
+
     def test_saved_seeded_weights_match_default(self, scene_ply, tmp_path):
         path = tmp_path / "w.npz"
         weights = PipelineWeights.from_seed(0, 3, 32, 16, 24)
@@ -447,16 +466,17 @@ class TestCli:
         ("unchained", "point_mlp.shapes"),
     ])
     def test_bad_weights_file_reports_error(self, scene_ply, tmp_path, capsys, fault, named):
-        weights = dict(vars(PipelineWeights.from_seed(0, 3, 32, 16, 24)))
-        mlp = weights["point_mlp"]
-        if fault == "missing":
-            del weights["importance_mlp"]
-        elif fault == "values_length":
-            weights["point_mlp"] = dataclasses.replace(mlp, values=mlp.values[:-1])
-        else:
-            weights["point_mlp"] = dataclasses.replace(mlp, shapes=((3, 32), (31, 32)))
+        # the bad stacks are written as raw arrays: SeededWeights refuses them
         path = tmp_path / "w.npz"
-        save_weights(path, weights)
+        save_weights(path, vars(PipelineWeights.from_seed(0, 3, 32, 16, 24)))
+        arrays = dict(np.load(path))
+        if fault == "missing":
+            del arrays["importance_mlp.values"], arrays["importance_mlp.shapes"]
+        elif fault == "values_length":
+            arrays["point_mlp.values"] = arrays["point_mlp.values"][:-1]
+        else:
+            arrays["point_mlp.shapes"] = np.array([(3, 32), (31, 32)])
+        np.savez(path, **arrays)
         rc = main(["tokenize", str(scene_ply), "--out", str(tmp_path / "o.tok"),
                    "--weights", str(path), *SMALL])
         assert rc == 1

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from sfctok.core import (
     SENTINEL,
     PointCloud,
+    SeededWeights,
     build_partition,
     label_counts,
     segment_mean,
@@ -86,6 +87,42 @@ def test_seeded_init_seed_sensitivity():
 def test_seeded_init_invalid_shape():
     with pytest.raises(InvalidShape):
         seeded_init(0, [(0, 4)])
+
+
+def test_seeded_init_rejects_a_fractional_shape():
+    # a fractional fan-in is refused, not truncated to a (2, 4) layer
+    with pytest.raises(InvalidShape, match="integer rows of positive"):
+        seeded_init(0, [(2.5, 4)])
+
+
+_MLP = seeded_init(0, [(3, 32), (32, 32)])
+
+
+@pytest.mark.parametrize("shapes, values, match", [
+    (_MLP.shapes, _MLP.values[:-5], r"values has shape \(1179,\); shapes need \(1184,\)"),
+    (_MLP.shapes, np.where(_MLP.values > 0.2, np.nan, _MLP.values), "values holds a NaN or inf"),
+    ([(3, 0), (0, 32)], np.zeros(32), "integer rows of positive"),
+    ([(3, 16), (20, 24)], np.zeros(3 * 16 + 16 + 20 * 24 + 24),
+     "shapes: layer 1 fan-in 20 != layer 0 fan-out 16"),
+    ([(3, 4)], np.zeros((2, 8)), r"values has shape \(2, 8\); shapes need \(16,\)"),
+    ([(True, 4)], np.zeros(8), "integer rows of positive"),
+    ([(3.0, 4)], np.zeros(16), "integer rows of positive"),
+    ((3, 4), np.zeros(16), "integer rows of positive"),
+    ([(3, 4, 5)], np.zeros(16), "integer rows of positive"),
+    ([(3, 4)], np.zeros(16, dtype=complex), "values has dtype complex128, not real"),
+    ([(3, 4)], np.zeros(16, dtype=bool), "values has dtype bool, not real"),
+], ids=["short", "nan", "zero_width", "unchained", "2d_values", "bool_shape",
+        "float_shape", "flat_shapes", "triple", "complex", "bool_values"])
+def test_weight_stack_checks_itself(shapes, values, match):
+    with pytest.raises(InvalidShape, match=match):
+        SeededWeights(shapes, values)
+
+
+def test_weight_stack_normalizes_its_input():
+    w = SeededWeights(np.array([[1, 2]]), np.arange(4))
+    assert w.shapes == ((1, 2),) and type(w.shapes[0][0]) is int
+    assert w.values.dtype == np.float64 and np.array_equal(w.values, np.arange(4.0))
+    assert SeededWeights((), np.empty(0)).n_layers == 0
 
 
 def test_seeded_init_length_and_bound():

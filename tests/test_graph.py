@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,22 @@ class TestWindowVote:
         bound = 4 * -(-n // r) * (2 * w + 1)
         assert votes.n_edges <= bound
         assert candidate_pair_count(n, r, w) <= bound
+
+    def test_window_past_the_sequence_allocates_nothing(self, rng):
+        # slots N or more from an anchor are padding: a radius of 10^5 on
+        # 100 points casts the records of radius N, in the same memory
+        n = 100
+        labels = rng.integers(-1, 12, size=n)
+        curves = [rng.permutation(n) for _ in range(4)]
+        at_n = window_vote(labels, curves, 10, n)
+        tracemalloc.start()
+        try:
+            wide = window_vote(labels, curves, 10, 10**5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert np.array_equal(wide.src, at_n.src) and np.array_equal(wide.dst, at_n.dst)
 
 
 def per_delta_votes(labels, curves, stride, radius):

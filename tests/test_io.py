@@ -441,15 +441,12 @@ class TestWeights:
 
     def test_values_length_rejected(self, tmp_path):
         a = seeded_init(3, [(4, 8), (8, 1)])
-        path = tmp_path / "w.npz"
-        save_weights(path, {"alpha": dataclasses.replace(a, values=a.values[1:])})
+        path = self.npz(tmp_path / "w.npz", **{"alpha.values": a.values[1:]})
         with pytest.raises(InvalidWeights, match=r"alpha\.values"):
             load_weights(path)
 
     def test_unchained_shapes_rejected(self, tmp_path):
-        a = seeded_init(3, [(4, 8), (7, 1)])
-        path = tmp_path / "w.npz"
-        save_weights(path, {"alpha": a})
+        path = self.npz(tmp_path / "w.npz", **{"alpha.shapes": np.array([(4, 8), (7, 1)])})
         with pytest.raises(InvalidWeights, match=r"alpha\.shapes: layer 1 fan-in 7"):
             load_weights(path)
 

@@ -14,11 +14,12 @@ from sfctok.core import (
     seeded_init,
     segment_mean,
 )
-from sfctok.errors import ConfigError, EmptySuperpoint, ShapeMismatch, WidthTooSmall
+from sfctok.errors import (
+    ConfigError, EmptySuperpoint, InvalidShape, ShapeMismatch, WidthTooSmall,
+)
 from sfctok.synth import make_scene
 from sfctok.tokenizer import (
     CHUNK_POINTS,
-    _chunks,
     bounding_box,
     fourier_embed,
     mlp_project,
@@ -221,12 +222,15 @@ class TestPointTokens:
         assert np.array_equal(x0[:, :3], cloud.features)
 
     def test_last_layer_fan_in_mismatch(self, rng):
+        # a stack whose last fan-in is not the hidden width cannot be built
+        with pytest.raises(InvalidShape, match="layer 1 fan-in 20 != layer 0 fan-out 16"):
+            seeded_init(0, [(3, 16), (20, 24)])
+        # a one-layer MLP's fan-in must be the feature width
         cloud = PointCloud(
             positions=rng.uniform(size=(5, 3)), features=rng.uniform(size=(5, 3))
         )
-        w = seeded_init(0, [(3, 16), (20, 24)])
-        with pytest.raises(ShapeMismatch):
-            point_tokens(cloud, w)
+        with pytest.raises(ShapeMismatch, match="last layer fan-in 4 != hidden width 3"):
+            point_tokens(cloud, seeded_init(0, [(4, 24)]))
 
     def test_feature_linearity_single_linear_layer(self, rng):
         # one layer, zero bias: MLP part is linear in the features
@@ -451,26 +455,45 @@ class TestChunkedPool:
         assert relative_error(got, oracle) <= 1e-12
         assert np.array_equal(got, unchunked_pool(cloud, labels, m, self.W))
 
+    def pooled_spans(self, cloud, labels, monkeypatch):
+        """(lo, hi) spans of the label-sorted points, in the order
+        ``superpoint_pool`` passes them to ``point_tokens``."""
+        order = np.argsort(labels, kind="stable")
+        spans, raw = [], tokenizer.point_tokens
+
+        def recording(chunk, *args):
+            lo = spans[-1][1] if spans else 0
+            spans.append((lo, lo + chunk.n_points))
+            assert np.array_equal(chunk.positions, cloud.positions[order[lo : spans[-1][1]]])
+            return raw(chunk, *args)
+
+        monkeypatch.setattr(tokenizer, "point_tokens", recording)
+        superpoint_pool(cloud, build_partition(labels, cloud.positions), self.W)
+        return spans
+
     @pytest.mark.parametrize("case", CHUNK_CASES)
-    def test_chunks_cut_at_label_starts(self, case, rng):
-        _, labels, m = chunked_scene(case, rng)
+    def test_chunks_cut_at_label_starts(self, case, rng, monkeypatch):
+        cloud, labels, m = chunked_scene(case, rng)
         sorted_labels = np.sort(labels, kind="stable")
         n_sentinel = int((labels == -1).sum())
-        spans = list(_chunks(label_counts(labels, m), n_sentinel))
+        largest = label_counts(labels, m).max()
+        spans = self.pooled_spans(cloud, labels, monkeypatch)
         assert len(spans) >= 3
         assert spans[0][0] == 0 and spans[-1][1] == labels.size
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
         for lo, hi in spans:
             if lo > n_sentinel:  # past the sentinel run, cut only between labels
                 assert sorted_labels[lo - 1] != sorted_labels[lo]
-            one_label = sorted_labels[lo] == sorted_labels[hi - 1] != -1
-            assert hi - lo <= CHUNK_POINTS or one_label
+            # no chunk holds both a sentinel and a labeled point
+            assert (lo < n_sentinel) == (hi <= n_sentinel)
+            assert hi - lo < CHUNK_POINTS + largest
+            assert hi - lo <= CHUNK_POINTS or hi > n_sentinel
 
-    def test_chunk_boxes_differ_from_the_cloud_box(self, rng):
+    def test_chunk_boxes_differ_from_the_cloud_box(self, rng, monkeypatch):
         cloud, labels, m = chunked_scene("chunk_box", rng)
         order = np.argsort(labels, kind="stable")
         _, span = bounding_box(cloud.positions)
-        for lo, hi in _chunks(label_counts(labels, m), 0):
+        for lo, hi in self.pooled_spans(cloud, labels, monkeypatch):
             _, chunk_span = bounding_box(cloud.positions[order[lo:hi]])
             assert chunk_span[0] < 0.5 * span[0]
 
