@@ -121,12 +121,23 @@ class SeededWeights:
         return len(self.shapes)
 
     def split(self, i):
-        """(layers before i, layers from i on), each over a view of the values."""
+        """(layers before i, layers from i on), each over a view of the values.
+
+        The parts of a checked stack are checked already, so they are built
+        without scanning the values again.
+        """
         off = sum(fi * fo + fo for fi, fo in self.shapes[:i])
         return (
-            SeededWeights(self.shapes[:i], self.values[:off]),
-            SeededWeights(self.shapes[i:], self.values[off:]),
+            self._part(self.shapes[:i], self.values[:off]),
+            self._part(self.shapes[i:], self.values[off:]),
         )
+
+    @classmethod
+    def _part(cls, shapes, values):
+        part = object.__new__(cls)
+        object.__setattr__(part, "shapes", shapes)
+        object.__setattr__(part, "values", values)
+        return part
 
 
 def validate_cloud(cloud: PointCloud) -> None:

@@ -40,14 +40,32 @@ class TransportPlan:
     converged: bool  # residual <= the solver's residual_tol
 
 
+# Columns per block of smooth_features: each block's centered copy of S and
+# its product take M * 64 float64s, a quarter of the (M, 256) output.
+SMOOTH_BLOCK_COLS = 64
+
+
 def smooth_features(a_hat, tokens: TokenMatrix):
-    """Y = A_hat (S - columnwise mean of S)."""
+    """Y = A_hat (S - columnwise mean of S).
+
+    The product runs over blocks of ``SMOOTH_BLOCK_COLS`` columns, each
+    centered, multiplied and written into one (M, d) output, so no centered
+    copy of the whole of S is held. A product with A_hat computes each
+    column on its own (SciPy's CSR product sums each entry over the row's
+    stored entries in order), so the blocks give the bits of the whole
+    product.
+    """
     feats = tokens.feats
     if a_hat.shape[0] != feats.shape[0]:
         raise DimensionMismatch(
             f"adjacency {a_hat.shape} vs {feats.shape[0]} tokens"
         )
-    return a_hat @ (feats - feats.mean(axis=0, keepdims=True))
+    mean = feats.mean(axis=0)
+    out = np.empty(feats.shape)
+    for lo in range(0, feats.shape[1], SMOOTH_BLOCK_COLS):
+        cols = slice(lo, lo + SMOOTH_BLOCK_COLS)
+        out[:, cols] = a_hat @ (feats[:, cols] - mean[cols])
+    return out
 
 
 def _fix_signs(u):
@@ -156,6 +174,14 @@ def sinkhorn(
 ) -> TransportPlan:
     """Sinkhorn scaling of the kernel exp(logits / tau) to marginals mu, nu.
 
+    ``logits`` is an (M, T) array, or a function of no arguments that
+    returns a fresh float64 (M, T) logits array each time it is called. The
+    solver divides that array by tau in place and builds its kernel over
+    it, so a caller that passes a function holds no logits of its own. The
+    function is called once, then again only on each absorption (below) and
+    on the error path, to tell non-finite logits from a ``logits / tau``
+    that overflows. An array is copied once.
+
     Higher logit means more affinity (the cost is -logits). The plan is
     ``u K v`` with ``K = exp(logits / tau + f + g)``: the kernel is formed
     once, shifted per row so every row peaks at 1, with the shift held in
@@ -169,26 +195,25 @@ def sinkhorn(
     / ``K^T u`` has a zero, subnormal or non-finite entry, the other side's
     scaling moves into its potential, this side takes the log-domain update
     ``f = log mu - LSE_j(logits / tau + g)`` (or
-    ``g = log nu - LSE_i(logits / tau + f)``), and ``K`` is rebuilt.
-    Mathematically every sweep equals those two updates.
+    ``g = log nu - LSE_i(logits / tau + f)``), and ``K`` is rebuilt from
+    fresh logits. Mathematically every sweep equals those two updates.
 
     Sweeps stop when the worst marginal violation drops to ``residual_tol``
     or after ``max_iters`` (at least 1); ``converged`` reports which.
     """
-    logits = np.asarray(logits, dtype=np.float64)
+    fresh = logits if callable(logits) else lambda: np.array(logits, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     nu = np.asarray(nu, dtype=np.float64)
     if not (np.isfinite(tau) and tau > 0):
         raise ConfigError(f"tau={tau} must be positive and finite")
     if max_iters < 1:
         raise ConfigError(f"max_iters={max_iters} must be >= 1")
-    with np.errstate(over="ignore"):
-        k = logits / tau
+    k = _log_kernel(fresh, tau)
     if not np.isfinite(k).all():
-        if not np.isfinite(logits).all():
+        if not np.isfinite(fresh()).all():
             raise NonFiniteKernel("logits contain non-finite entries")
         raise NonFiniteKernel(f"logits / tau overflows float64 at tau={tau}")
-    for name, marg, size in (("mu", mu, logits.shape[0]), ("nu", nu, logits.shape[1])):
+    for name, marg, size in (("mu", mu, k.shape[0]), ("nu", nu, k.shape[1])):
         if marg.shape != (size,) or (marg <= 0).any() or abs(marg.sum() - 1.0) > 1e-8:
             raise InvalidMarginals(f"{name} must be a positive simplex vector")
 
@@ -202,14 +227,16 @@ def sinkhorn(
             u = mu / kv
             if _needs_absorb(u, kv):
                 g += np.log(v)
-                log_k = np.divide(logits, tau, out=k)
+                del k  # rebuilt from fresh logits
+                log_k = _log_kernel(fresh, tau)
                 f = np.log(mu) - _logsumexp_rows(log_k + g)
                 k, u, v = _kernel(log_k, f, g)
             ktu = k.T @ u
             v = nu / ktu
             if _needs_absorb(v, ktu):
                 f += np.log(u)
-                log_k = np.divide(logits, tau, out=k)
+                del k
+                log_k = _log_kernel(fresh, tau)
                 g = np.log(nu) - _logsumexp_rows(log_k.T + f)
                 k, u, v = _kernel(log_k, f, g)
                 ktu = k.T @ u
@@ -228,6 +255,14 @@ def sinkhorn(
         residual=float(residual),
         converged=bool(residual <= residual_tol),
     )
+
+
+def _log_kernel(fresh, tau):
+    """logits / tau, divided in place over the array ``fresh()`` returns."""
+    log_k = np.asarray(fresh(), dtype=np.float64)
+    with np.errstate(over="ignore"):
+        log_k /= tau
+    return log_k
 
 
 # Between absorptions the scalings stay within exp(+-_ABSORB_NATS) of 1, so a

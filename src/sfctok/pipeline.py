@@ -139,6 +139,13 @@ def run_pipeline(
     ``cfg.sample_n`` points. The cloud, any ``partition`` and the outer
     shapes of any ``weights`` are checked before any stage runs; bad input
     raises a typed ``SfcTokError`` naming it.
+
+    Memory: no layer holds more than three (M, d)-sized arrays, counting
+    what this function keeps alive, unless ``sinkhorn`` has to absorb its
+    scalings (its log-sum-exp then takes three more). The smoothed features
+    are dropped after the embedding, the importance scores are taken before
+    any logits exist, and ``sinkhorn`` gets a function that projects fresh
+    logits, so only the solver holds them (as its kernel).
     """
     validate_cloud(cloud)
     if partition is not None:
@@ -191,11 +198,10 @@ def run_pipeline(
         z = emb.z_emb
         if rank < cfg.svd_rank:  # keep the projection fan-in fixed
             z = np.pad(z, ((0, 0), (0, cfg.svd_rank - rank)))
-        logits = merger.project_logits(z, weights.projection)
         mu = merger.importance_scores(s, weights.importance_mlp)
         nu = np.full(cfg.tokens, 1.0 / cfg.tokens)
         plan = merger.sinkhorn(
-            logits,
+            lambda: merger.project_logits(z, weights.projection),
             mu,
             nu,
             tau=cfg.tau,

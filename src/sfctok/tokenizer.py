@@ -12,11 +12,13 @@ the voxel fallback segmenter.
 The point rows are never held in full. ``superpoint_pool`` sorts the points
 by label once and streams them in chunks of about ``CHUNK_POINTS`` points,
 none mixing sentinel and labeled points; labeled chunks hold whole
-superpoints. Each chunk's rows are made in one reused buffer and averaged
-into one (M, h+d) array. Memory is O(M (h+d) + chunk (h+d)), not O(N (h+d)).
-Each mean adds its rows in ascending point order, as one product over all
-points would, and the embedding box comes from the whole cloud, so the
-tokens do not depend on the chunking.
+superpoints. Each chunk's rows are made in one reused buffer and averaged;
+the hidden means go into one (M, h) array and the embedding means into the
+(M, d) output, to which the last layer's rows are then added. Memory is
+O(M (h+d) + chunk (h+d)), not O(N (h+d)): at h = d two (M, d) arrays and a
+chunk. Each mean adds its rows in ascending point order, as one product
+over all points would, and the embedding box comes from the whole cloud, so
+the tokens do not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ from .errors import ConfigError, ShapeMismatch, WidthTooSmall
 # transposed copy into the (K, d) layout, and its rows take 4 MB at
 # h + d = 512.
 CHUNK_POINTS = 1024
+
+# Superpoints per block of the MLP's last layer in superpoint_pool: a block's
+# output takes 2 MiB at d = 256, where the whole head's output would take
+# 87 MiB at M = 44.6k.
+HEAD_ROWS = 1024
 
 # fourier_embed calls sin/cos on every ANCHOR_EVERY-th band and doubles the
 # angle for the bands in between.
@@ -195,10 +202,13 @@ def superpoint_pool(
     ``CHUNK_POINTS``-th point. So no chunk mixes sentinel and labeled points,
     and a labeled chunk holds whole superpoints and is shorter than
     ``CHUNK_POINTS`` plus the largest one. Each chunk's ``point_tokens`` rows
-    (with the whole cloud's box, in one reused buffer) are averaged per label
-    into one (M, h+d) array; sentinel rows are dropped. Then the MLP's last
-    layer runs over the h hidden columns of each mean, plus the mean of the
-    embedding columns. Every point goes through ``point_tokens`` once.
+    (with the whole cloud's box, in one reused buffer) are averaged per
+    label; sentinel rows are dropped. The means of the h hidden columns go
+    into one (M, h) array and those of the embedding columns straight into
+    the (M, d) output. Then the MLP's last layer runs over the hidden means
+    in blocks of ``HEAD_ROWS`` superpoints, the last block taking the
+    remainder, and each block is added into the output. Every point goes
+    through ``point_tokens`` once.
     """
     _, head = _split_head(weights)
     h, d = head.shapes[0]
@@ -214,7 +224,8 @@ def superpoint_pool(
         (np.arange(0, n_sentinel, CHUNK_POINTS), past, [n_sentinel, n])
     ))
     buf = np.empty((np.diff(cuts).max(initial=0), h + d))
-    pooled = np.empty((part.n_superpoints, h + d))
+    hidden = np.empty((part.n_superpoints, h))
+    feats = np.empty((part.n_superpoints, d))  # the embedding means, then the tokens
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         idx = order[lo:hi]
         chunk = PointCloud(positions=cloud.positions[idx], features=cloud.features[idx])
@@ -222,9 +233,15 @@ def superpoint_pool(
         if lo >= n_sentinel:  # sentinel chunks are tokenized, then dropped
             lab = labels[idx]
             first, last = lab[0], lab[-1]
-            pooled[first : last + 1] = segment_mean(lab - first, last + 1 - first, rows)
-    feats = mlp_project(pooled[:, :h], head)
-    feats += pooled[:, h:]
+            means = segment_mean(lab - first, last + 1 - first, rows)
+            hidden[first : last + 1] = means[:, :h]
+            feats[first : last + 1] = means[:, h:]
+    # a one-row product goes to gemv, which rounds unlike gemm: the last
+    # block takes the remainder, so no block has a single row
+    heads = np.arange(max(1, part.n_superpoints // HEAD_ROWS) + 1) * HEAD_ROWS
+    heads[-1] = part.n_superpoints
+    for lo, hi in zip(heads[:-1], heads[1:]):
+        feats[lo:hi] += mlp_project(hidden[lo:hi], head)
     return TokenMatrix(feats=feats, centers=part.centers)
 
 

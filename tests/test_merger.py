@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +69,19 @@ class TestSmoothFeatures:
     def test_shape_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
             smooth_features(np.eye(5), make_tokens(rng, m=6))
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    def test_column_blocks_bit_equal_to_whole_product(self, rng, kind):
+        # d = 150: two full blocks of SMOOTH_BLOCK_COLS and a partial one
+        m, d = 300, 150
+        assert d % merger.SMOOTH_BLOCK_COLS
+        s = make_tokens(rng, m=m, d=d)
+        a_hat = scipy.sparse.random(m, m, density=0.02, format="csr", random_state=3)
+        a_hat = a_hat + a_hat.T + scipy.sparse.identity(m, format="csr")
+        if kind == "dense":
+            a_hat = a_hat.toarray()
+        whole = a_hat @ (s.feats - s.feats.mean(axis=0, keepdims=True))
+        assert np.array_equal(smooth_features(a_hat, s), whole)
 
 
 class TestSpectralEmbed:
@@ -345,6 +359,76 @@ class TestSinkhorn:
         plan = sinkhorn(logits, mu, nu, tau=0.5)
         assert plan.residual <= 1e-9
         assert (plan.plan >= 0).all()
+
+
+def absorbing_case(case):
+    """(logits, mu, nu, tau) of the absorbing cases of ``test_acceptance.py``:
+    ``test_sinkhorn_small_tau_matches_log_reference`` and
+    ``test_sinkhorn_starved_row_matches_log_reference``."""
+    if case == "small_tau":
+        rng = np.random.Generator(np.random.PCG64(55))
+        m, t, tau = 40, 6, 0.01
+        logits = rng.normal(scale=3.0, size=(m, t))
+        logits[:, 0] -= 30.0
+        mu = rng.uniform(0.5, 1.5, size=m)
+        mu /= mu.sum()
+    else:  # "starved_row"
+        rng = np.random.Generator(np.random.PCG64(56))
+        m, t, tau = 7, 3, 0.5
+        logits = rng.normal(size=(m, t))
+        mu = rng.uniform(0.5, 1.5, size=m)
+        mu[0] = 0.0
+        mu /= mu.sum()
+        mu[0] = 1e-310
+    nu = rng.uniform(0.5, 1.5, size=t)
+    nu /= nu.sum()
+    return logits, mu, nu, tau
+
+
+class TestSinkhornFunctionForm:
+    """``sinkhorn`` given a function that returns fresh logits."""
+
+    @pytest.mark.parametrize("case", ["small_tau", "starved_row"])
+    @pytest.mark.parametrize("iters", [1, 3, 20, 200])
+    def test_plan_equals_array_form(self, case, iters, monkeypatch):
+        logits, mu, nu, tau = absorbing_case(case)
+        kernels, calls = [], []
+        build = merger._kernel
+
+        def counting_kernel(*args):
+            kernels.append(1)
+            return build(*args)
+
+        def fresh():
+            calls.append(1)
+            return logits.copy()
+
+        monkeypatch.setattr(merger, "_kernel", counting_kernel)
+        kw = dict(tau=tau, max_iters=iters, residual_tol=0.0)
+        before = logits.copy()
+        want = sinkhorn(logits, mu, nu, **kw)
+        assert np.array_equal(logits, before)  # the array form divides a copy
+        kernels.clear()
+        got = sinkhorn(fresh, mu, nu, **kw)
+        assert np.array_equal(got.plan, want.plan)
+        assert (got.iterations, got.residual) == (want.iterations, want.residual)
+        # the first kernel and one per absorption
+        assert len(calls) == len(kernels)
+        assert len(kernels) > 1 or iters == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_logits(self, rng, bad):
+        logits = rng.normal(size=(5, 3))
+        logits[2, 1] = bad
+        with pytest.raises(NonFiniteKernel, match="logits contain non-finite entries"):
+            sinkhorn(logits.copy, np.full(5, 1 / 5), np.full(3, 1 / 3), tau=0.5)
+
+    def test_overflowing_logits_over_tau(self):
+        logits = np.array([[1e300, 0.0], [0.0, 1e300], [0.5, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteKernel, match=r"logits / tau overflows"):
+                sinkhorn(logits.copy, np.full(3, 1 / 3), np.full(2, 1 / 2), tau=1e-10)
 
 
 class TestSoftPool:

@@ -510,6 +510,39 @@ class TestChunkedPool:
         superpoint_pool(cloud, build_partition(labels, cloud.positions), self.W)
         assert len(seen) >= 3 and sum(seen) == cloud.n_points
 
+    @pytest.mark.parametrize("m", [1025, 2049])
+    def test_head_blocks_match_unchunked_formula(self, m, rng):
+        # the last layer runs over blocks of HEAD_ROWS superpoints; at these M
+        # a plain cut would leave a one-row last block, which numpy hands to
+        # gemv, whose rounding differs from gemm's
+        assert m % tokenizer.HEAD_ROWS == 1
+        n = 3 * m
+        labels = rng.permutation(np.arange(n) % m)
+        cloud = PointCloud(positions=rng.normal(size=(n, 3)), features=rng.normal(size=(n, 3)))
+        got = superpoint_pool(cloud, build_partition(labels, cloud.positions), self.W).feats
+        assert np.array_equal(got, unchunked_pool(cloud, labels, m, self.W))
+
+    def test_weights_scanned_a_constant_number_of_times(self, rng, monkeypatch):
+        # split views of the checked stack are not checked again, so the
+        # number of value scans does not grow with the number of chunks
+        scans = []
+        check = SeededWeights.__post_init__
+
+        def counting(self):
+            scans.append(self.values.size)
+            check(self)
+
+        monkeypatch.setattr(SeededWeights, "__post_init__", counting)
+        counts = []
+        for n in (CHUNK_POINTS // 2, 6 * CHUNK_POINTS):
+            labels = np.arange(n) % 50
+            cloud = PointCloud(positions=rng.normal(size=(n, 3)), features=rng.normal(size=(n, 3)))
+            part = build_partition(labels, cloud.positions)
+            scans.clear()
+            superpoint_pool(cloud, part, self.W)
+            counts.append(len(scans))
+        assert counts[0] == counts[1] <= 1
+
 
 class TestStreamMemory:
     def test_tokenize_peak_below_half_the_point_rows(self):
