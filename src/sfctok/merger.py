@@ -69,11 +69,16 @@ def smooth_features(a_hat, tokens: TokenMatrix):
 
 
 def _fix_signs(u):
-    """Flip singular vectors so each u column's largest-|entry| is positive."""
-    idx = np.argmax(np.abs(u), axis=0)
+    """Flip singular vectors so each u column's largest-|entry| is positive.
+
+    Flips the columns of ``u`` in place and returns it. The magnitudes are
+    taken into a transposed buffer, so the argmax needs no transposed copy.
+    """
+    idx = np.argmax(np.abs(u.T, out=np.empty(u.shape[::-1])), axis=1)
     signs = np.sign(u[idx, np.arange(u.shape[1])])
     signs[signs == 0] = 1.0
-    return u * signs
+    u *= signs
+    return u
 
 
 # Rows per block of _orthonormal_basis: a 1024 x 40 block (330 kB) stays in
@@ -82,26 +87,26 @@ QR_BLOCK_ROWS = 1024
 
 
 def _orthonormal_basis(a):
-    """Orthonormal basis of the columns of a tall ``a``, as ``np.linalg.qr`` gives.
+    """Orthonormal basis of the columns of a tall float64 ``a``, as
+    ``np.linalg.qr`` gives, written over ``a`` and returned.
 
     A one-level TSQR (Demmel, Grigori, Hoemmen and Langou 2012): a
     Householder QR of each ``QR_BLOCK_ROWS``-row block, one of the stacked R
     factors, and each block's Q times its slice of that small Q. The span is
     the same; the columns may differ from ``np.linalg.qr``'s by sign and
-    rounding.
+    rounding. Every block is factored before the first is overwritten.
     """
     m = a.shape[0]
     blocks = [
         np.linalg.qr(a[lo : lo + QR_BLOCK_ROWS]) for lo in range(0, m, QR_BLOCK_ROWS)
     ]
     q_r, _ = np.linalg.qr(np.concatenate([r for _, r in blocks]))
-    q = np.empty((m, q_r.shape[1]))
     row = col = 0
     for q_b, _ in blocks:
-        np.matmul(q_b, q_r[col : col + q_b.shape[1]], out=q[row : row + q_b.shape[0]])
+        np.matmul(q_b, q_r[col : col + q_b.shape[1]], out=a[row : row + q_b.shape[0]])
         row += q_b.shape[0]
         col += q_b.shape[1]
-    return q
+    return a
 
 
 # Inputs up to this many rows take the exact SVD; taller ones the randomized one.
@@ -115,6 +120,10 @@ def spectral_embed(y, r, seed=0) -> SpectralEmbedding:
     ``Q^T Y`` for an orthonormal basis Q of Y's range found by randomized
     subspace iteration (2 power iterations, oversampling 8), with U mapped
     back through Q. Signs are fixed so the embedding is deterministic.
+
+    Besides ``y``, the randomized branch holds at most two (M, r + 8)
+    arrays at once: each product Y (Y^T Q) and its blocks' Q factors, which
+    the new basis is written over once the old basis is dropped.
     """
     y = np.asarray(y, dtype=np.float64)
     m, d = y.shape
@@ -126,12 +135,15 @@ def spectral_embed(y, r, seed=0) -> SpectralEmbedding:
         probe = rng.standard_normal((d, min(d, r + 8)))
         q = y @ probe
         for _ in range(2):
-            q = _orthonormal_basis(y @ (y.T @ q))
+            coef = y.T @ q
+            del q
+            q = _orthonormal_basis(y @ coef)
         y = q.T @ y
     u, s, _ = np.linalg.svd(y, full_matrices=False)
     u, s = u[:, :r], s[:r]
     if randomized:
         u = q @ u
+        del q
     u = _fix_signs(u)
     return SpectralEmbedding(z_emb=u * s[None, :], singular_values=s, u=u)
 
@@ -195,8 +207,10 @@ def sinkhorn(
     / ``K^T u`` has a zero, subnormal or non-finite entry, the other side's
     scaling moves into its potential, this side takes the log-domain update
     ``f = log mu - LSE_j(logits / tau + g)`` (or
-    ``g = log nu - LSE_i(logits / tau + f)``), and ``K`` is rebuilt from
-    fresh logits. Mathematically every sweep equals those two updates.
+    ``g = log nu - LSE_i(logits / tau + f)``, over blocks of the kernel's rows),
+    and ``K`` is rebuilt from fresh logits. Mathematically every sweep
+    equals those two updates. Besides the caller's logits, the solver holds
+    one (M, T) array, the sum's blocks and O(M + T).
 
     Sweeps stop when the worst marginal violation drops to ``residual_tol``
     or after ``max_iters`` (at least 1); ``converged`` reports which.
@@ -209,7 +223,7 @@ def sinkhorn(
     if max_iters < 1:
         raise ConfigError(f"max_iters={max_iters} must be >= 1")
     k = _log_kernel(fresh, tau)
-    if not np.isfinite(k).all():
+    if not _all_finite(k):
         if not np.isfinite(fresh()).all():
             raise NonFiniteKernel("logits contain non-finite entries")
         raise NonFiniteKernel(f"logits / tau overflows float64 at tau={tau}")
@@ -229,7 +243,7 @@ def sinkhorn(
                 g += np.log(v)
                 del k  # rebuilt from fresh logits
                 log_k = _log_kernel(fresh, tau)
-                f = np.log(mu) - _logsumexp_rows(log_k + g)
+                f = np.log(mu) - _row_logsumexp(log_k, g)
                 k, u, v = _kernel(log_k, f, g)
             ktu = k.T @ u
             v = nu / ktu
@@ -237,7 +251,7 @@ def sinkhorn(
                 f += np.log(u)
                 del k
                 log_k = _log_kernel(fresh, tau)
-                g = np.log(nu) - _logsumexp_rows(log_k.T + f)
+                g = np.log(nu) - _column_logsumexp(log_k, f)
                 k, u, v = _kernel(log_k, f, g)
                 ktu = k.T @ u
             kv = k @ v
@@ -247,7 +261,7 @@ def sinkhorn(
     plan = k
     plan *= u[:, None]
     plan *= v[None, :]
-    if not np.isfinite(plan).all():
+    if not _all_finite(plan):
         raise NonFiniteKernel("transport plan overflowed")
     return TransportPlan(
         plan=plan,
@@ -255,6 +269,12 @@ def sinkhorn(
         residual=float(residual),
         converged=bool(residual <= residual_tol),
     )
+
+
+def _all_finite(a):
+    """``np.isfinite(a).all()`` without an ``a``-sized mask: min and max
+    propagate NaN, and an empty ``a`` reads as 0."""
+    return bool(np.isfinite(a.min(initial=0.0)) and np.isfinite(a.max(initial=0.0)))
 
 
 def _log_kernel(fresh, tau):
@@ -296,6 +316,59 @@ def _logsumexp_rows(a):
     top = a.max(axis=1)
     top[~np.isfinite(top)] = 0.0
     return np.log(np.exp(a - top[:, None]).sum(axis=1)) + top
+
+
+# Entries of the log kernel per block of the absorption's log-sum-exp: 1024
+# rows at T = 256, so each block temporary takes 2 MiB.
+LSE_BLOCK_ENTRIES = 1 << 18
+
+
+def _row_blocks(log_k):
+    """(lo, hi) bounds of consecutive blocks of ``log_k``'s rows, each of
+    about ``LSE_BLOCK_ENTRIES`` entries and at least one row."""
+    m, t = log_k.shape
+    rows = max(1, LSE_BLOCK_ENTRIES // t)
+    return [(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
+
+
+def _row_logsumexp(log_k, g):
+    """``_logsumexp_rows(log_k + g)``, a block of rows at a time. Each row is
+    whole in its block, so the result has the whole-array form's bits."""
+    out = np.empty(log_k.shape[0])
+    for lo, hi in _row_blocks(log_k):
+        out[lo:hi] = _logsumexp_rows(log_k[lo:hi] + g)
+    return out
+
+
+def _column_logsumexp(log_k, f):
+    """``_logsumexp_rows(log_k.T + f)``, over blocks of ``log_k``'s rows.
+
+    The whole-array form sums a (T, M) array laid out as ``log_k``, which
+    numpy does entry after entry along M when T > 1. So a first pass takes
+    each column's maximum (exact in any order), and a second adds each
+    block's exp onto the running sums, carried in as the block's first row:
+    the same additions in the same order, so the result has the whole-array
+    form's bits. At T = 1 numpy sums the one row pairwise, so that case
+    takes the whole-array form, an O(M) array.
+    """
+    t = log_k.shape[1]
+    if t == 1:
+        return _logsumexp_rows(log_k.T + f)
+    blocks = _row_blocks(log_k)
+    top = np.full(t, -np.inf)
+    for lo, hi in blocks:
+        np.maximum(top, (log_k[lo:hi] + f[lo:hi, None]).max(axis=0), out=top)
+    top[~np.isfinite(top)] = 0.0
+    total = np.zeros(t)
+    work = np.empty((blocks[0][1] + 1, t))
+    for lo, hi in blocks:
+        block = work[: hi - lo + 1]
+        block[0] = total
+        np.add(log_k[lo:hi], f[lo:hi, None], out=block[1:])
+        block[1:] -= top
+        np.exp(block[1:], out=block[1:])
+        np.add.reduce(block, axis=0, out=total)
+    return np.log(total) + top
 
 
 def soft_pool(plan: TransportPlan, tokens: TokenMatrix) -> TokenMatrix:

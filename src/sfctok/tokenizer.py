@@ -52,9 +52,14 @@ CHUNK_POINTS = 1024
 HEAD_ROWS = 1024
 
 # fourier_embed calls sin/cos on every ANCHOR_EVERY-th band and doubles the
-# angle for the bands in between.
-ANCHOR_EVERY = 4
+# angle for the bands in between. The anchors below band REDUCED_BANDS are
+# reduced to a quarter turn: |corr| < 2^-50, so corr 2^k stays below 2^-8 rad
+# there (k <= 42) and is known to ~1e-19. The anchors from there on take
+# libm's own reduction.
+ANCHOR_EVERY = 6
+REDUCED_BANDS = 48
 TWO_PI = 2.0 * np.pi
+HALF_PI = TWO_PI / 4  # fl(pi / 2), exactly
 TWO_PI_TAIL = 2.4492935982947064e-16  # 2 pi - TWO_PI, rounded to float64
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for Dekker's product
 _TWO_PI_HI = _SPLIT * TWO_PI - (_SPLIT * TWO_PI - TWO_PI)
@@ -77,22 +82,47 @@ def _two_pi_residual(u):
     return err
 
 
+def _quarter_turn_sincos(u, scale, sin, cos):
+    """sin/cos of fl(2 pi u) * 2^k into (3, A, K) ``sin`` and ``cos``, for
+    u: (3, K) in [0, 1] and ``scale``: (A, 1) holding 2^k, k < REDUCED_BANDS.
+    """
+    phase = u[:, None, :] * (4.0 * scale)  # v = 4 u 2^k, exact
+    turns = np.rint(phase)  # n, at most 2^44
+    phase -= turns  # f = v - n, exact, in [-1/2, 1/2]
+    phase *= HALF_PI
+    phase -= _two_pi_residual(u)[:, None, :] * scale  # r, |r| <= pi/4 + 2^-8
+    s, c = np.sin(phase), np.cos(phase)
+    # rotate by n quarter turns: with a = cos(n pi/2) and b = sin(n pi/2),
+    # each 0 or +-1, one term of a s + b c and of a c - b s is 0, so it is exact
+    turns -= 4.0 * np.floor(turns * 0.25)  # n mod 4, exact
+    a = np.abs(turns - 2.0)
+    a -= 1.0
+    b = np.abs(turns - 1.0, out=turns)
+    np.subtract(1.0, b, out=b)
+    np.multiply(a, s, out=sin)
+    sin += b * c
+    np.multiply(a, c, out=cos)
+    cos -= b * s
+
+
 def _octave_sincos(u, n_freqs):
     """(2, 3, F, K) sin/cos of fl(2 pi u) * 2^k, k < F, for u: (3, K) in [0, 1].
 
     Band-major, so each doubling runs over contiguous rows of K points.
     """
     n_anchor = -(-n_freqs // ANCHOR_EVERY)
+    n_reduced = min(n_anchor, REDUCED_BANDS // ANCHOR_EVERY)
     scale = 2.0 ** (ANCHOR_EVERY * np.arange(n_anchor, dtype=np.float64))[:, None]
-    phase = u[:, None, :] * scale  # (3, A, K): u 2^k, exact
-    phase -= np.floor(phase)
-    phase *= TWO_PI
-    phase -= _two_pi_residual(u)[:, None, :] * scale
     # (sin/cos, axis, anchor, band after the anchor, point)
     work = np.empty((2, 3, n_anchor, ANCHOR_EVERY, u.shape[1]))
     sin, cos = work
-    np.sin(phase, out=sin[:, :, 0])
-    np.cos(phase, out=cos[:, :, 0])
+    _quarter_turn_sincos(
+        u, scale[:n_reduced], sin[:, :n_reduced, 0], cos[:, :n_reduced, 0]
+    )
+    if n_reduced < n_anchor:  # t 2^k is exact, and libm reduces it exactly
+        phase = (TWO_PI * u)[:, None, :] * scale[n_reduced:]
+        np.sin(phase, out=sin[:, n_reduced:, 0])
+        np.cos(phase, out=cos[:, n_reduced:, 0])
     for j in range(1, ANCHOR_EVERY):
         s, c = sin[:, :, j - 1], cos[:, :, j - 1]
         np.multiply(s, c, out=sin[:, :, j])
@@ -112,18 +142,24 @@ def fourier_embed(positions, d, box=None, out=None):
     embedded in chunks take the whole cloud's ``bounding_box``, so each row
     is the one the whole cloud would give.
 
-    No large argument reaches sin/cos, and only one band in
-    ``ANCHOR_EVERY`` calls them. Two identities give the other values:
+    sin/cos run on one band in ``ANCHOR_EVERY``, the anchor bands, and below
+    width 294 only on arguments within pi/4 + 2^-8 of 0, where libm is
+    about three times as fast as on [0, 2 pi]. Two identities give the
+    rest:
 
-    - Exact reduction. t * 2^k is exact and corr = 2 pi u - t is known to
-      ~1e-32 (``_two_pi_residual``), so t * 2^k = 2 pi frac(u 2^k)
-      - corr 2^k (mod 2 pi), a phase in [0, 2 pi] up to ~1e-3.
-    - Angle doubling. Each anchor band's sin/cos come from its reduced
-      phase; the bands after it follow from sin 2x = 2 sin x cos x and
-      cos 2x = (cos x - sin x)(cos x + sin x).
+    - Quarter-turn reduction. t * 2^k is exact, and corr = 2 pi u - t is
+      known to ~1e-32 (``_two_pi_residual``). With v = 4 u 2^k (exact),
+      n = rint(v) and f = v - n (exact, in [-1/2, 1/2]),
+      t * 2^k = n pi/2 + r with r = fl(pi/2) f - corr 2^k. sin/cos of r
+      are rotated by n quarter turns, exactly. From band
+      ``REDUCED_BANDS`` on (widths of 294 and above), corr 2^k is neither
+      small nor known well enough, so the anchors there take sin/cos of
+      t * 2^k directly: libm reduces any argument exactly.
+    - Angle doubling. The five bands after an anchor follow from
+      sin 2x = 2 sin x cos x and cos 2x = (cos x - sin x)(cos x + sin x).
 
-    The reduced phase is off by ~1e-15 and each doubling doubles that, so
-    the values stay within ~1e-14 of sin/cos of t * 2^k evaluated directly.
+    r is off by ~1e-16 and each doubling doubles that, so every band stays
+    within 1e-14 of sin/cos of t * 2^k evaluated directly, at every width.
 
     ``out``, if given, is a float64 K x d array (it may be a column slice of
     a wider one) that receives the columns and the zero padding, and is

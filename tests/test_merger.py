@@ -1,5 +1,6 @@
 """Tests for graph smoothing, spectral embedding, Sinkhorn, and pooling."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -129,6 +130,25 @@ class TestSpectralEmbed:
         with pytest.raises(RankTooLarge):
             spectral_embed(rng.normal(size=(10, 4)), r=5)
 
+    def test_randomized_branch_holds_two_basis_arrays(self, rng):
+        m, d, r = 24 * QR_BLOCK_ROWS + 357, 64, 8
+        y = rng.normal(size=(m, d))
+        p, blocks = r + 8, -(-m // QR_BLOCK_ROWS)
+        # in float64 words, besides y: a product Y (Y^T Q) and its blocks' Q
+        # factors (2 m p); the stacked R factors, np.linalg.qr's copy, work
+        # and Q of them, and the result (5 blocks p^2); one block's copy, work
+        # and Q (3 QR_BLOCK_ROWS p); the probe, Y^T Q, Q^T Y and its SVD (4 d p)
+        budget = 8 * (2 * m * p + 5 * blocks * p**2 + 3 * QR_BLOCK_ROWS * p + 4 * d * p)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            emb = spectral_embed(y, r)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert emb.u.shape == (m, r)
+        assert peak <= budget, (peak / 2**20, budget / 2**20)
+
 
 def qr_case(case, rng, n=24):
     """A tall input for the blocked basis, named by its row count or shape."""
@@ -158,7 +178,7 @@ class TestOrthonormalBasis:
     )
     def test_matches_householder_span(self, rng, case):
         a = qr_case(case, rng)
-        q = _orthonormal_basis(a)
+        q = _orthonormal_basis(a.copy())  # the basis is written over its input
         assert q.shape == a.shape
         assert np.linalg.norm(q.T @ q - np.eye(a.shape[1]), 2) <= 1e-13
         # both bases hold the input's range: ||(I - Q Q^T) U||_2 is the sine
@@ -429,6 +449,90 @@ class TestSinkhornFunctionForm:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NonFiniteKernel, match=r"logits / tau overflows"):
                 sinkhorn(logits.copy, np.full(3, 1 / 3), np.full(2, 1 / 2), tau=1e-10)
+
+
+def whole_array_rows(log_k, g):
+    """The absorption's row log-sum-exp over the whole (M, T) array at once."""
+    return _logsumexp_rows(log_k + g)
+
+
+def whole_array_columns(log_k, f):
+    """The absorption's column log-sum-exp over the whole array at once."""
+    return _logsumexp_rows(log_k.T + f)
+
+
+class TestSinkhornBlockedAbsorption:
+    """The absorption's log-sum-exp, taken a block of rows at a time."""
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 3), (5, 1), (20000, 1), (300, 2), (257, 5), (1000, 64)]
+    )
+    @pytest.mark.parametrize("rows", [1, 3, 64, 1 << 18])
+    def test_blocks_bit_equal_to_whole_array(self, rng, shape, rows, monkeypatch):
+        log_k = rng.normal(size=shape)
+        # a dominant first row: the order of the small additions sets the low bits
+        log_k[0] += 30.0
+        log_k[rng.integers(0, shape[0], 3), rng.integers(0, shape[1], 3)] = -np.inf
+        f, g = rng.normal(size=shape[0]), rng.normal(size=shape[1])
+        monkeypatch.setattr(merger, "LSE_BLOCK_ENTRIES", rows * shape[1])
+        with np.errstate(divide="ignore"):  # a column of -inf sums to 0
+            rows_lse = merger._row_logsumexp(log_k, g)
+            assert np.array_equal(rows_lse, whole_array_rows(log_k, g))
+            columns_lse = merger._column_logsumexp(log_k, f)
+            assert np.array_equal(columns_lse, whole_array_columns(log_k, f))
+
+    @pytest.mark.parametrize("case", ["small_tau", "starved_row"])
+    @pytest.mark.parametrize("iters", [1, 3, 20, 200])
+    def test_plan_equals_whole_array_oracle(self, case, iters, monkeypatch):
+        logits, mu, nu, tau = absorbing_case(case)
+        kw = dict(tau=tau, max_iters=iters, residual_tol=0.0)
+        with monkeypatch.context() as mp:
+            mp.setattr(merger, "_row_logsumexp", whole_array_rows)
+            mp.setattr(merger, "_column_logsumexp", whole_array_columns)
+            want = sinkhorn(logits, mu, nu, **kw)
+        n_blocks = []
+        row_blocks = merger._row_blocks
+
+        def counting_blocks(log_k):
+            blocks = row_blocks(log_k)
+            n_blocks.append(len(blocks))
+            return blocks
+
+        # one row per block
+        monkeypatch.setattr(merger, "LSE_BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(merger, "_row_blocks", counting_blocks)
+        got = sinkhorn(logits, mu, nu, **kw)
+        assert np.array_equal(got.plan, want.plan)
+        assert (got.iterations, got.residual) == (want.iterations, want.residual)
+        assert n_blocks and set(n_blocks) == {logits.shape[0]}
+
+    def test_absorption_holds_one_kernel_array(self):
+        m, t = 44_662, 256
+        rng = np.random.Generator(np.random.PCG64(3))
+        z, w = rng.normal(size=(m, 8)), rng.normal(size=(8, t))
+        mu, nu = np.full(m, 1 / m), np.full(t, 1 / t)
+        calls = []
+
+        def fresh():
+            calls.append(1)
+            return z @ w
+
+        # in float64 words: the kernel (m t); three blocks of at most
+        # max(LSE_BLOCK_ENTRIES, t) entries, one row more in the column form
+        # (a row block's sum, shifted copy and exp); and 16 vectors of m or t
+        # (marginals, potentials, scalings, products, maxima, running sums)
+        block = max(merger.LSE_BLOCK_ENTRIES, t) + t
+        budget = 8 * (m * t + 3 * block + 16 * (m + t))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            plan = sinkhorn(fresh, mu, nu, tau=0.001, max_iters=2)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert len(calls) > 1, "no absorption: the check measures nothing"
+        assert plan.plan.shape == (m, t)
+        assert peak <= budget, (peak / (8 * m * t), budget / (8 * m * t))
 
 
 class TestSoftPool:

@@ -88,8 +88,31 @@ def naive_fourier_embed(positions, d, box=None):
     return out
 
 
+def long_double_fourier_embed(positions, d, box=None):
+    """The per-band formula with np.sin/np.cos of np.longdouble(t) * 2^k,
+    t = fl(2 pi u), in long double (the phase is exact, libm reduces it)."""
+    lo, span = bounding_box(positions) if box is None else box
+    flat = span == 0.0
+    u = np.where(flat, 0.0, (positions - lo) / np.where(flat, 1.0, span))
+    t = np.longdouble(2.0 * np.pi * u)
+    f = d // 6
+    out = np.zeros((positions.shape[0], d), dtype=np.longdouble)
+    for k in range(f):
+        phase = t * np.longdouble(2.0) ** k
+        out[:, k : 3 * f : f] = np.sin(phase)
+        out[:, 3 * f + k : 6 * f : f] = np.cos(phase)
+    return out
+
+
 def oracle_case(case, rng):
     """(positions, box) of one oracle case; box None means the input's own."""
+    if case == "quadrant_seams":
+        # u = j / 2^m in the unit box: 4 u 2^k is an integer for k >= m - 2
+        # and a half-integer at k = m - 3, the seams of the quarter turns
+        m = rng.integers(0, 51, size=(2000, 3))
+        pos = rng.integers(0, 2**m + 1) / 2.0**m
+        pos[0], pos[1] = 0.0, 1.0  # the box corners
+        return pos, None
     pos = rng.uniform(-2.0, 3.0, size=(2000, 3))
     pos[:2] = pos.min(axis=0), pos.max(axis=0)  # points at the box corners
     if case == "flat_axis":
@@ -102,21 +125,32 @@ def oracle_case(case, rng):
     return pos, None
 
 
+ORACLE_CASES = [
+    "uniform", "flat_axis", "offset_1e6", "chunk_of_cloud", "quadrant_seams"
+]
+
+
 class TestFourierEmbedOracle:
     """Phase reduction and angle doubling against the per-band formula."""
 
-    # F = 1, 2 (below ANCHOR_EVERY = 4), 4, 4 with zero padding, and 42 (not a
-    # multiple of 4, with zero padding)
-    @pytest.mark.parametrize("d", [6, 12, 24, 26, 256])
-    @pytest.mark.parametrize(
-        "case", ["uniform", "flat_axis", "offset_1e6", "chunk_of_cloud"]
-    )
+    # F = 1, 2, 4 and 4 with zero padding (below ANCHOR_EVERY = 6); 6; 7;
+    # 42 = 7 x 6 with zero padding; 43, a truncated anchor group; and 64, 100
+    # and 128, whose anchors past REDUCED_BANDS take libm's reduction
+    @pytest.mark.parametrize("d", [6, 12, 24, 26, 36, 42, 256, 258, 384, 600, 768])
+    @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_matches_per_band_loop(self, rng, case, d):
         pos, box = oracle_case(case, rng)
         got = fourier_embed(pos, d, box)
         want = naive_fourier_embed(pos, d, box)
-        assert np.abs(got - want).max() <= 1e-13
+        assert np.abs(got - want).max() <= 1e-14
         assert np.array_equal(got[:, 6 * (d // 6) :], want[:, 6 * (d // 6) :])
+
+    @pytest.mark.parametrize("d", [42, 256, 768])
+    @pytest.mark.parametrize("case", ["uniform", "quadrant_seams"])
+    def test_matches_long_double_formula(self, rng, case, d):
+        pos, box = oracle_case(case, rng)
+        want = long_double_fourier_embed(pos, d, box)
+        assert np.abs(fourier_embed(pos, d, box) - want).max() <= 1e-14
 
 
 class TestFourierEmbedOut:
