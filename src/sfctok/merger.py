@@ -30,6 +30,9 @@ class SpectralEmbedding:
     z_emb: np.ndarray  # (M, r) = U_r Sigma_r
     singular_values: np.ndarray  # (r,) nonincreasing
     u: np.ndarray  # (M, r), orthonormal columns
+    # sigma_{r+1}, 0 when there is none: exact on the dense branch, the
+    # largest Ritz value left out on the randomized one
+    next_singular_value: float
 
 
 @dataclass(frozen=True)
@@ -40,31 +43,31 @@ class TransportPlan:
     converged: bool  # residual <= the solver's residual_tol
 
 
-# Columns per block of smooth_features: each block's centered copy of S and
-# its product take M * 64 float64s, a quarter of the (M, 256) output.
-SMOOTH_BLOCK_COLS = 64
+# Entries per block of smooth_features' centering: 256 rows at d = 256, so
+# each block of the rank-one term takes 512 kB.
+SMOOTH_BLOCK_ENTRIES = 1 << 16
 
 
 def smooth_features(a_hat, tokens: TokenMatrix):
-    """Y = A_hat (S - columnwise mean of S).
+    """Y = A_hat (S - 1 mu^T) = A_hat S - (A_hat 1) mu^T, mu the column means of S.
 
-    The product runs over blocks of ``SMOOTH_BLOCK_COLS`` columns, each
-    centered, multiplied and written into one (M, d) output, so no centered
-    copy of the whole of S is held. A product with A_hat computes each
-    column on its own (SciPy's CSR product sums each entry over the row's
-    stored entries in order), so the blocks give the bits of the whole
-    product.
+    One product A_hat S over all d columns becomes the output, and the
+    rank-one centering term is subtracted from it in place, a block of
+    ``SMOOTH_BLOCK_ENTRIES`` entries at a time. Besides the output the
+    function holds O(M + d) and one block: no centered copy of S.
     """
     feats = tokens.feats
     if a_hat.shape[0] != feats.shape[0]:
         raise DimensionMismatch(
             f"adjacency {a_hat.shape} vs {feats.shape[0]} tokens"
         )
-    mean = feats.mean(axis=0)
-    out = np.empty(feats.shape)
-    for lo in range(0, feats.shape[1], SMOOTH_BLOCK_COLS):
-        cols = slice(lo, lo + SMOOTH_BLOCK_COLS)
-        out[:, cols] = a_hat @ (feats[:, cols] - mean[cols])
+    ones = np.ones(feats.shape[0])
+    mean = (ones @ feats) / feats.shape[0]
+    row_sums = a_hat @ ones
+    out = a_hat @ feats
+    rows = max(1, SMOOTH_BLOCK_ENTRIES // max(1, feats.shape[1]))
+    for lo in range(0, out.shape[0], rows):
+        out[lo : lo + rows] -= np.multiply.outer(row_sums[lo : lo + rows], mean)
     return out
 
 
@@ -116,36 +119,71 @@ DENSE_SVD_ROWS = 512
 def spectral_embed(y, r, seed=0) -> SpectralEmbedding:
     """Truncated SVD embedding Z_emb = U_r Sigma_r of the smoothed features.
 
-    Dense SVD for up to ``DENSE_SVD_ROWS`` rows; above that, the SVD of
-    ``Q^T Y`` for an orthonormal basis Q of Y's range found by randomized
-    subspace iteration (2 power iterations, oversampling 8), with U mapped
-    back through Q. Signs are fixed so the embedding is deterministic.
+    Dense SVD for up to ``DENSE_SVD_ROWS`` rows. Above that, randomized
+    subspace iteration (Halko, Martinsson and Tropp 2011, sections 4.5 and
+    5.1; 2 power iterations, oversampling 8): Q is an orthonormal basis of
+    the span of Y G^2 P, with G = Y^T Y and P a seeded Gaussian probe, and U
+    is Q times the left singular vectors of Q^T Y (a Rayleigh-Ritz step),
+    computed in d-space by ``_randomized_svd``. Signs are fixed so the
+    embedding is deterministic.
 
-    Besides ``y``, the randomized branch holds at most two (M, r + 8)
-    arrays at once: each product Y (Y^T Q) and its blocks' Q factors, which
-    the new basis is written over once the old basis is dropped.
+    ``next_singular_value`` is sigma_{r+1}: from the full SVD on the dense
+    branch; on the randomized one a Ritz estimate, the largest Ritz value
+    left out (the Ritz problem has r + 8 values).
     """
     y = np.asarray(y, dtype=np.float64)
     m, d = y.shape
     if r > min(m, d):
         raise RankTooLarge(f"rank {r} > min{(m, d)}")
-    randomized = m > DENSE_SVD_ROWS
-    if randomized:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        probe = rng.standard_normal((d, min(d, r + 8)))
-        q = y @ probe
-        for _ in range(2):
-            coef = y.T @ q
-            del q
-            q = _orthonormal_basis(y @ coef)
-        y = q.T @ y
-    u, s, _ = np.linalg.svd(y, full_matrices=False)
-    u, s = u[:, :r], s[:r]
-    if randomized:
-        u = q @ u
-        del q
+    if m <= DENSE_SVD_ROWS:
+        u, s, _ = np.linalg.svd(y, full_matrices=False)
+        s_next = float(s[r]) if s.shape[0] > r else 0.0
+        u, s = u[:, :r], s[:r]
+    else:
+        u, s, s_next = _randomized_svd(y, r, seed)
     u = _fix_signs(u)
-    return SpectralEmbedding(z_emb=u * s[None, :], singular_values=s, u=u)
+    return SpectralEmbedding(
+        z_emb=u * s[None, :], singular_values=s, u=u, next_singular_value=s_next
+    )
+
+
+def _randomized_svd(y, r, seed):
+    """(U_r, Sigma_r, sigma_{r+1}) of ``spectral_embed``'s randomized branch.
+
+    It works on G = Y^T Y, so Y is read twice: for G and for U. W <- qr(G W)
+    from W = P twice spans G^2 P. With W^T G W = V Lambda V^T, the basis
+    Q = Y W V Lambda^(-1/2) is orthonormal, Q^T Y = Lambda^(-1/2) V^T (G W)^T
+    has the SVD U_B Sigma V_B^T, and U = Q U_B = Y (W V Lambda^(-1/2) U_B).
+
+    A length-M sum rounds within M eps of the sum of its terms' magnitudes,
+    so ||dG|| <= M eps trace(G) (Higham 2002, section 3.1). Eigenvalues
+    below max(M, d) eps trace(G) are rounding: their directions are dropped
+    and their singular values reported as 0. U's product is orthonormal
+    only to about eps sigma_1^2 / sigma_r^2; ``_orthonormal_basis`` makes it
+    orthonormal to rounding and completes the columns past the kept
+    directions, which are 0 in it (all of them for a zero Y).
+
+    Besides ``y`` it holds G, O(d (r + 8)) and two (M, r) arrays: the
+    product and its blocks' Q factors.
+    """
+    m, d = y.shape
+    rng = np.random.Generator(np.random.PCG64(seed))
+    w = rng.standard_normal((d, min(d, r + 8)))
+    g = y.T @ y
+    for _ in range(2):
+        w, _ = np.linalg.qr(g @ w)
+    gw = g @ w
+    lam, v = np.linalg.eigh(w.T @ gw)
+    keep = lam > max(m, d) * np.finfo(np.float64).eps * np.trace(g)
+    scale = v[:, keep] / np.sqrt(lam[keep])
+    u_b, s_b, _ = np.linalg.svd(scale.T @ gw.T, full_matrices=False)
+    k = min(r, s_b.shape[0])
+    s = np.zeros(r)
+    s[:k] = s_b[:k]
+    coef = np.zeros((d, r))
+    coef[:, :k] = w @ (scale @ u_b[:, :k])
+    s_next = float(s_b[r]) if s_b.shape[0] > r else 0.0
+    return _orthonormal_basis(y @ coef), s, s_next
 
 
 def importance_scores(tokens: TokenMatrix, weights: SeededWeights):

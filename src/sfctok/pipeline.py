@@ -64,6 +64,7 @@ class PipelineResult:
     n_superpoints: int
     vote_count: int
     edge_count: int
+    spectral_gap: float  # (sigma_r - sigma_{r+1}) / sigma_1 of the embedding; 0 for a zero Y
     sinkhorn_residual: float
     sinkhorn_iterations: int
     sinkhorn_converged: bool  # residual <= cfg.sinkhorn_tol within the iteration cap
@@ -77,6 +78,7 @@ class PipelineResult:
             f"width={self.tokens.width}",
             f"vote_count={self.vote_count}",
             f"edge_count={self.edge_count}",
+            f"spectral_gap={self.spectral_gap:.6e}",
             f"sinkhorn_residual={self.sinkhorn_residual:.6e}",
             f"sinkhorn_iterations={self.sinkhorn_iterations}",
             f"sinkhorn_converged={self.sinkhorn_converged}",
@@ -195,6 +197,8 @@ def run_pipeline(
         rank = min(cfg.svd_rank, m, cfg.width)
         emb = merger.spectral_embed(y, rank, seed=cfg.seed)
         del y  # one (M, d) array less at the merge stage's peak
+        sigma = emb.singular_values
+        gap = (sigma[-1] - emb.next_singular_value) / sigma[0] if sigma[0] > 0 else 0.0
         z = emb.z_emb
         if rank < cfg.svd_rank:  # keep the projection fan-in fixed
             z = np.pad(z, ((0, 0), (0, cfg.svd_rank - rank)))
@@ -216,6 +220,7 @@ def run_pipeline(
         n_superpoints=m,
         vote_count=vote_count,
         edge_count=int(vote_graph.dst.shape[0]),
+        spectral_gap=float(gap),
         sinkhorn_residual=plan.residual,
         sinkhorn_iterations=plan.iterations,
         sinkhorn_converged=plan.converged,

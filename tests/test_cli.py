@@ -14,7 +14,7 @@ import sfctok
 from sfctok.bench import BenchRow
 from sfctok.cli import main
 from sfctok.config import PipelineConfig
-from sfctok import pipeline
+from sfctok import merger, pipeline
 from sfctok.core import PointCloud, build_partition, seeded_init
 from sfctok.errors import (
     EmptySuperpoint,
@@ -101,6 +101,27 @@ class TestPipeline:
         result = run_pipeline(cloud, cfg)
         assert result.sinkhorn_converged == (result.sinkhorn_residual <= cfg.sinkhorn_tol)
         assert f"sinkhorn_converged={result.sinkhorn_converged}" in result.summary_lines()
+
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_result_reports_spectral_gap(self, monkeypatch, zero):
+        # M <= DENSE_SVD_ROWS: the exact branch, checked against the full SVD
+        seen = []
+        smooth = merger.smooth_features
+
+        def keep_y(a_hat, tokens):
+            y = smooth(a_hat, tokens)
+            seen.append(np.zeros_like(y) if zero else y.copy())
+            return seen[-1]
+
+        monkeypatch.setattr(merger, "smooth_features", keep_y)
+        cfg = PipelineConfig(sample_n=1500, tokens=12, width=32, svd_rank=8, voxel_cell=0.5)
+        result = run_pipeline(make_scene(1500, seed=3), cfg)
+        (y,) = seen
+        assert y.shape[0] <= merger.DENSE_SVD_ROWS
+        s = np.linalg.svd(y, compute_uv=False)
+        want = 0.0 if zero else (s[7] - s[8]) / s[0]
+        assert abs(result.spectral_gap - want) <= 1e-12
+        assert f"spectral_gap={result.spectral_gap:.6e}" in result.summary_lines()
 
     @pytest.mark.parametrize("array, row, error", [
         ("positions", 17, NonFiniteCoordinate),
@@ -268,6 +289,7 @@ class TestCli:
         assert tokens.width == 32
         printed = capsys.readouterr().out
         assert "n_tokens=24" in printed
+        assert "\nspectral_gap=" in printed
         assert f"out={out}" in printed
 
     def test_tokenize_byte_identical_reruns(self, scene_ply, tmp_path, monkeypatch):

@@ -102,8 +102,11 @@ def slack_bytes(layer, n, m, edges, largest, cfg: PipelineConfig):
     - ``enhance``: the tile buffers and the added rows, each at most
       (``TILE_BLOCKS`` + 1) R + 2 L rows of d (3 tiles), and the operator
       work, six arrays of at most (2 L + R)^2 entries;
-    - ``spectral_embed``: subspace iteration's probes, product, block bases
-      and basis, four (M, r + 8) arrays.
+    - ``spectral_embed``: G = Y^T Y (d^2), the probes, G W, the Ritz
+      problem and its SVD (4 d (r + 8)), and one TSQR block's copy, work and
+      Q (3 ``QR_BLOCK_ROWS`` r). Its (M, r) product and the product's
+      blocks' Q factors are alive only before z_emb and u exist, so the
+      2 M r of every layer covers them.
 
     The graph stage's point-level arrays (curves and votes, O(N W / stride))
     are left out: at M ~ 0.9 N and d = 256 they fit in the unused part of
@@ -117,7 +120,7 @@ def slack_bytes(layer, n, m, edges, largest, cfg: PipelineConfig):
         tile = (enhancer.TILE_BLOCKS + 1) * cfg.stride + 2 * cfg.window
         words += 3 * tile * d + 6 * (2 * cfg.window + cfg.stride) ** 2
     elif layer == "merger.spectral_embed":
-        words += 4 * m * (r + 8)
+        words += d * d + 4 * d * (r + 8) + 3 * merger.QR_BLOCK_ROWS * r
     return 8 * words
 
 

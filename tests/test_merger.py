@@ -72,17 +72,44 @@ class TestSmoothFeatures:
             smooth_features(np.eye(5), make_tokens(rng, m=6))
 
     @pytest.mark.parametrize("kind", ["sparse", "dense"])
-    def test_column_blocks_bit_equal_to_whole_product(self, rng, kind):
-        # d = 150: two full blocks of SMOOTH_BLOCK_COLS and a partial one
+    def test_matches_centered_product_to_rounding(self, rng, kind):
+        # the columns' means are large against their spread, so the rank-one
+        # form A S - (A 1) mu^T cancels where A (S - mu) does not
         m, d = 300, 150
-        assert d % merger.SMOOTH_BLOCK_COLS
         s = make_tokens(rng, m=m, d=d)
+        s = TokenMatrix(feats=s.feats + rng.uniform(0, 1e4, size=d), centers=s.centers)
         a_hat = scipy.sparse.random(m, m, density=0.02, format="csr", random_state=3)
         a_hat = a_hat + a_hat.T + scipy.sparse.identity(m, format="csr")
+        n = int(np.diff(a_hat.indptr).max())
         if kind == "dense":
-            a_hat = a_hat.toarray()
-        whole = a_hat @ (s.feats - s.feats.mean(axis=0, keepdims=True))
-        assert np.array_equal(smooth_features(a_hat, s), whole)
+            a_hat, n = a_hat.toarray(), m
+        mean = s.feats.mean(axis=0)
+        want = a_hat @ (s.feats - mean)
+        # a sum of n products rounds within n eps of the sum of their
+        # magnitudes (Higham 2002, section 3.1): n terms on each side, and the
+        # centering and the mean a few roundings more
+        scale = abs(a_hat) @ np.abs(s.feats) + np.outer(np.abs(a_hat @ np.ones(m)), np.abs(mean))
+        bound = 2 * (n + 2) * np.finfo(np.float64).eps * scale
+        assert (np.abs(smooth_features(a_hat, s) - want) <= bound).all()
+
+    def test_holds_only_vectors_besides_its_output(self, rng):
+        m, d, nnz = 20_000, 64, 200_000
+        s = make_tokens(rng, m=m, d=d)
+        ends = rng.integers(0, m, size=(2, nnz))
+        a_hat = scipy.sparse.csr_matrix((rng.uniform(size=nnz), tuple(ends)), shape=(m, m))
+        # in float64 words: the output; a vector of ones, the row sums A 1 and
+        # the mean (3 M); one block of the rank-one term and numpy's ufunc
+        # buffers for its broadcast product (np.getbufsize() per operand)
+        budget = 8 * (m * d + 3 * m + merger.SMOOTH_BLOCK_ENTRIES + 4 * np.getbufsize())
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            y = smooth_features(a_hat, s)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert y.shape == (m, d)
+        assert peak <= budget, (peak / 2**20, budget / 2**20)
 
 
 class TestSpectralEmbed:
@@ -130,15 +157,18 @@ class TestSpectralEmbed:
         with pytest.raises(RankTooLarge):
             spectral_embed(rng.normal(size=(10, 4)), r=5)
 
-    def test_randomized_branch_holds_two_basis_arrays(self, rng):
+    def test_randomized_branch_holds_gram_and_two_product_arrays(self, rng):
         m, d, r = 24 * QR_BLOCK_ROWS + 357, 64, 8
         y = rng.normal(size=(m, d))
         p, blocks = r + 8, -(-m // QR_BLOCK_ROWS)
-        # in float64 words, besides y: a product Y (Y^T Q) and its blocks' Q
-        # factors (2 m p); the stacked R factors, np.linalg.qr's copy, work
-        # and Q of them, and the result (5 blocks p^2); one block's copy, work
-        # and Q (3 QR_BLOCK_ROWS p); the probe, Y^T Q, Q^T Y and its SVD (4 d p)
-        budget = 8 * (2 * m * p + 5 * blocks * p**2 + 3 * QR_BLOCK_ROWS * p + 4 * d * p)
+        # in float64 words, besides y: the (M, r) product and its blocks' Q
+        # factors (2 m r); the stacked R factors, np.linalg.qr's copy, work
+        # and Q of them, and the result (5 blocks r^2); one block's copy, work
+        # and Q (3 QR_BLOCK_ROWS r); G (d^2); the probe, G W, the Ritz
+        # problem and its SVD (4 d p)
+        budget = 8 * (
+            2 * m * r + 5 * blocks * r**2 + 3 * QR_BLOCK_ROWS * r + d * d + 4 * d * p
+        )
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
@@ -148,6 +178,85 @@ class TestSpectralEmbed:
             tracemalloc.stop()
         assert emb.u.shape == (m, r)
         assert peak <= budget, (peak / 2**20, budget / 2**20)
+
+    def test_next_singular_value_exact_branch(self, rng):
+        y = rng.normal(size=(300, 40))
+        s = np.linalg.svd(y, compute_uv=False)
+        emb = spectral_embed(y, r=8)
+        assert abs(emb.next_singular_value - s[8]) <= 1e-12 * s[0]
+        assert spectral_embed(y, r=40).next_singular_value == 0.0
+
+    def test_next_singular_value_is_exact_ritz_value_at_low_rank(self, rng):
+        # rank 12 <= r + 8: the Ritz problem holds Y's whole range
+        y = rng.normal(size=(900, 12)) @ rng.normal(size=(12, 50))
+        assert y.shape[0] > DENSE_SVD_ROWS
+        s = np.linalg.svd(y, compute_uv=False)
+        emb = spectral_embed(y, r=8)
+        assert abs(emb.next_singular_value - s[8]) <= 1e-12 * s[0]
+        # past Y's rank the Ritz value is dropped as rounding: reported as 0
+        assert spectral_embed(y, r=12).next_singular_value == 0.0
+
+
+def subspace_iteration_oracle(y, r, seed=0):
+    """(z_emb, Ritz values): the randomized SVD in M-space, as
+    ``spectral_embed`` computed it before it moved to G = Y^T Y: the same
+    probe and power iterations, each basis from ``np.linalg.qr``."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    q = y @ rng.standard_normal((y.shape[1], min(y.shape[1], r + 8)))
+    for _ in range(2):
+        q = np.linalg.qr(y @ (y.T @ q))[0]
+    u_b, s, _ = np.linalg.svd(q.T @ y, full_matrices=False)
+    return _fix_signs(q @ u_b[:, :r]) * s[:r], s
+
+
+def oracle_case(case, rng):
+    """(Y, r) of an input for the randomized branch, named by its spectrum."""
+    if case == "flat":
+        return rng.normal(size=(3000, 256)), 32
+    if case == "low_rank_noise":
+        y = rng.normal(size=(600, 10)) @ rng.normal(size=(10, 40))
+        return y + 1e-9 * rng.normal(size=y.shape), 8
+    if case == "rank_deficient":  # rank 5 below r = 8
+        return rng.normal(size=(700, 5)) @ rng.normal(size=(5, 30)), 8
+    return np.zeros((600, 20)), 8
+
+
+# The errors seen stay within 13 of the units below (five seeds per case)
+ORACLE_UNITS = 64
+
+
+class TestRandomizedAgainstOracle:
+    """The d-space branch against ``subspace_iteration_oracle``.
+
+    Both compute the same Ritz values and vectors in exact arithmetic; they
+    round differently. The Gram route rounds G = Y^T Y by about eps sigma_1^2,
+    which moves sigma_j^2 by that much and u_j by that over its gap in
+    sigma^2: |d sigma_j| ~ eps sigma_1 (1 + sigma_1 / sigma_j) and
+    ||d z_j|| ~ eps sigma_1 (1 + sigma_1 / sigma_j + sigma_1 / gap_j). A Ritz
+    value whose square is below G's rounding, max(M, d) eps ||Y||_F^2, is no
+    resolvable direction of the Gram route, which reports it as 0: there
+    both stay within eps sigma_1 of 0.
+    """
+
+    @pytest.mark.parametrize("case", ["flat", "low_rank_noise", "rank_deficient", "zero"])
+    def test_matches_subspace_iteration(self, rng, case):
+        y, r = oracle_case(case, rng)
+        assert y.shape[0] > DENSE_SVD_ROWS
+        got = spectral_embed(y, r)
+        want_z, ritz = subspace_iteration_oracle(y, r)
+        eps, s1 = np.finfo(np.float64).eps, ritz[0]
+        s = ritz[:r]
+        gap = np.minimum(np.r_[np.inf, s[:-1] - s[1:]], s - ritz[1 : r + 1])
+        live = s**2 > max(y.shape) * eps * np.sum(y**2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            conditioning = np.where(live, s1 / s, 0.0)
+            spacing = np.where(live, s1 / gap, 0.0)
+        sigma_bound = ORACLE_UNITS * eps * s1 * (1 + conditioning)
+        z_bound = ORACLE_UNITS * eps * s1 * (1 + conditioning + spacing)
+        assert (np.abs(got.singular_values - s) <= sigma_bound).all()
+        assert (np.linalg.norm(got.z_emb - want_z, axis=0) <= z_bound).all()
+        assert np.abs(got.u.T @ got.u - np.eye(r)).max() <= 1e-12
+        assert (got.singular_values[~live] == 0).all()
 
 
 def qr_case(case, rng, n=24):
