@@ -29,7 +29,6 @@ from .errors import (
 class SpectralEmbedding:
     z_emb: np.ndarray  # (M, r) = U_r Sigma_r
     singular_values: np.ndarray  # (r,) nonincreasing
-    u: np.ndarray  # (M, r), orthonormal columns
     # sigma_{r+1}, 0 when there is none: exact on the dense branch, the
     # largest Ritz value left out on the randomized one
     next_singular_value: float
@@ -43,18 +42,25 @@ class TransportPlan:
     converged: bool  # residual <= the solver's residual_tol
 
 
-# Entries per block of smooth_features' centering: 256 rows at d = 256, so
-# each block of the rank-one term takes 512 kB.
-SMOOTH_BLOCK_ENTRIES = 1 << 16
+# Entries per block of a blocked pass over rows: 256 rows at d = T = 256, so
+# each block temporary takes 512 kB.
+BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(rows, width):
+    """(lo, hi) bounds of consecutive blocks of ``rows`` rows of ``width``
+    entries, each of about ``BLOCK_ENTRIES`` entries and at least one row."""
+    step = max(1, BLOCK_ENTRIES // max(1, width))
+    return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
 def smooth_features(a_hat, tokens: TokenMatrix):
     """Y = A_hat (S - 1 mu^T) = A_hat S - (A_hat 1) mu^T, mu the column means of S.
 
     One product A_hat S over all d columns becomes the output, and the
-    rank-one centering term is subtracted from it in place, a block of
-    ``SMOOTH_BLOCK_ENTRIES`` entries at a time. Besides the output the
-    function holds O(M + d) and one block: no centered copy of S.
+    rank-one centering term is subtracted from it in place, one block of
+    ``_row_blocks`` at a time. Besides the output the function holds
+    O(M + d) and one block: no centered copy of S.
     """
     feats = tokens.feats
     if a_hat.shape[0] != feats.shape[0]:
@@ -65,9 +71,8 @@ def smooth_features(a_hat, tokens: TokenMatrix):
     mean = (ones @ feats) / feats.shape[0]
     row_sums = a_hat @ ones
     out = a_hat @ feats
-    rows = max(1, SMOOTH_BLOCK_ENTRIES // max(1, feats.shape[1]))
-    for lo in range(0, out.shape[0], rows):
-        out[lo : lo + rows] -= np.multiply.outer(row_sums[lo : lo + rows], mean)
+    for lo, hi in _row_blocks(*out.shape):
+        out[lo:hi] -= np.multiply.outer(row_sums[lo:hi], mean)
     return out
 
 
@@ -84,34 +89,6 @@ def _fix_signs(u):
     return u
 
 
-# Rows per block of _orthonormal_basis: a 1024 x 40 block (330 kB) stays in
-# cache through its Householder sweeps.
-QR_BLOCK_ROWS = 1024
-
-
-def _orthonormal_basis(a):
-    """Orthonormal basis of the columns of a tall float64 ``a``, as
-    ``np.linalg.qr`` gives, written over ``a`` and returned.
-
-    A one-level TSQR (Demmel, Grigori, Hoemmen and Langou 2012): a
-    Householder QR of each ``QR_BLOCK_ROWS``-row block, one of the stacked R
-    factors, and each block's Q times its slice of that small Q. The span is
-    the same; the columns may differ from ``np.linalg.qr``'s by sign and
-    rounding. Every block is factored before the first is overwritten.
-    """
-    m = a.shape[0]
-    blocks = [
-        np.linalg.qr(a[lo : lo + QR_BLOCK_ROWS]) for lo in range(0, m, QR_BLOCK_ROWS)
-    ]
-    q_r, _ = np.linalg.qr(np.concatenate([r for _, r in blocks]))
-    row = col = 0
-    for q_b, _ in blocks:
-        np.matmul(q_b, q_r[col : col + q_b.shape[1]], out=a[row : row + q_b.shape[0]])
-        row += q_b.shape[0]
-        col += q_b.shape[1]
-    return a
-
-
 # Inputs up to this many rows take the exact SVD; taller ones the randomized one.
 DENSE_SVD_ROWS = 512
 
@@ -121,11 +98,12 @@ def spectral_embed(y, r, seed=0) -> SpectralEmbedding:
 
     Dense SVD for up to ``DENSE_SVD_ROWS`` rows. Above that, randomized
     subspace iteration (Halko, Martinsson and Tropp 2011, sections 4.5 and
-    5.1; 2 power iterations, oversampling 8): Q is an orthonormal basis of
-    the span of Y G^2 P, with G = Y^T Y and P a seeded Gaussian probe, and U
-    is Q times the left singular vectors of Q^T Y (a Rayleigh-Ritz step),
-    computed in d-space by ``_randomized_svd``. Signs are fixed so the
-    embedding is deterministic.
+    5.1; 2 power iterations, oversampling 8): the Ritz vectors of Y on the
+    span of Y G^2 P, with G = Y^T Y and P a seeded Gaussian probe, computed
+    in d-space by ``_randomized_svd``. Each branch gives an (M, r) basis
+    U_r; its signs are fixed, so the embedding is deterministic, and it is
+    then scaled by Sigma_r in place. A caller that needs U_r divides the
+    columns of ``z_emb`` with a nonzero singular value by it.
 
     ``next_singular_value`` is sigma_{r+1}: from the full SVD on the dense
     branch; on the randomized one a Ritz estimate, the largest Ritz value
@@ -138,13 +116,12 @@ def spectral_embed(y, r, seed=0) -> SpectralEmbedding:
     if m <= DENSE_SVD_ROWS:
         u, s, _ = np.linalg.svd(y, full_matrices=False)
         s_next = float(s[r]) if s.shape[0] > r else 0.0
-        u, s = u[:, :r], s[:r]
+        basis, s = u[:, :r].copy(), s[:r]
     else:
-        u, s, s_next = _randomized_svd(y, r, seed)
-    u = _fix_signs(u)
-    return SpectralEmbedding(
-        z_emb=u * s[None, :], singular_values=s, u=u, next_singular_value=s_next
-    )
+        basis, s, s_next = _randomized_svd(y, r, seed)
+    z_emb = _fix_signs(basis)
+    z_emb *= s
+    return SpectralEmbedding(z_emb=z_emb, singular_values=s, next_singular_value=s_next)
 
 
 def _randomized_svd(y, r, seed):
@@ -157,14 +134,13 @@ def _randomized_svd(y, r, seed):
 
     A length-M sum rounds within M eps of the sum of its terms' magnitudes,
     so ||dG|| <= M eps trace(G) (Higham 2002, section 3.1). Eigenvalues
-    below max(M, d) eps trace(G) are rounding: their directions are dropped
-    and their singular values reported as 0. U's product is orthonormal
-    only to about eps sigma_1^2 / sigma_r^2; ``_orthonormal_basis`` makes it
-    orthonormal to rounding and completes the columns past the kept
-    directions, which are 0 in it (all of them for a zero Y).
+    below max(M, d) eps trace(G) are rounding: their directions are dropped,
+    their singular values reported as 0 and their columns of U left 0 (all
+    of them for a zero Y). U's columns are orthogonal only to about
+    eps sigma_1^2 / (sigma_j sigma_k); scaled by Sigma they are orthogonal to
+    G's rounding, which is all the embedding needs.
 
-    Besides ``y`` it holds G, O(d (r + 8)) and two (M, r) arrays: the
-    product and its blocks' Q factors.
+    Besides ``y`` it holds G, O(d (r + 8)) and U.
     """
     m, d = y.shape
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -183,7 +159,7 @@ def _randomized_svd(y, r, seed):
     coef = np.zeros((d, r))
     coef[:, :k] = w @ (scale @ u_b[:, :k])
     s_next = float(s_b[r]) if s_b.shape[0] > r else 0.0
-    return _orthonormal_basis(y @ coef), s, s_next
+    return y @ coef, s, s_next
 
 
 def importance_scores(tokens: TokenMatrix, weights: SeededWeights):
@@ -356,24 +332,11 @@ def _logsumexp_rows(a):
     return np.log(np.exp(a - top[:, None]).sum(axis=1)) + top
 
 
-# Entries of the log kernel per block of the absorption's log-sum-exp: 1024
-# rows at T = 256, so each block temporary takes 2 MiB.
-LSE_BLOCK_ENTRIES = 1 << 18
-
-
-def _row_blocks(log_k):
-    """(lo, hi) bounds of consecutive blocks of ``log_k``'s rows, each of
-    about ``LSE_BLOCK_ENTRIES`` entries and at least one row."""
-    m, t = log_k.shape
-    rows = max(1, LSE_BLOCK_ENTRIES // t)
-    return [(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
-
-
 def _row_logsumexp(log_k, g):
     """``_logsumexp_rows(log_k + g)``, a block of rows at a time. Each row is
     whole in its block, so the result has the whole-array form's bits."""
     out = np.empty(log_k.shape[0])
-    for lo, hi in _row_blocks(log_k):
+    for lo, hi in _row_blocks(*log_k.shape):
         out[lo:hi] = _logsumexp_rows(log_k[lo:hi] + g)
     return out
 
@@ -392,7 +355,7 @@ def _column_logsumexp(log_k, f):
     t = log_k.shape[1]
     if t == 1:
         return _logsumexp_rows(log_k.T + f)
-    blocks = _row_blocks(log_k)
+    blocks = _row_blocks(*log_k.shape)
     top = np.full(t, -np.inf)
     for lo, hi in blocks:
         np.maximum(top, (log_k[lo:hi] + f[lo:hi, None]).max(axis=0), out=top)

@@ -143,11 +143,12 @@ def run_pipeline(
     raises a typed ``SfcTokError`` naming it.
 
     Memory: no layer holds more than three (M, d)-sized arrays, counting
-    what this function keeps alive, unless ``sinkhorn`` has to absorb its
-    scalings (its log-sum-exp then takes three more). The smoothed features
-    are dropped after the embedding, the importance scores are taken before
-    any logits exist, and ``sinkhorn`` gets a function that projects fresh
-    logits, so only the solver holds them (as its kernel).
+    what this function keeps alive. When ``sinkhorn`` absorbs its scalings,
+    its log-sum-exp adds only blocks of the kernel's rows to its one kernel
+    array. The smoothed features are dropped after the embedding, the
+    importance scores are taken before any logits exist, and ``sinkhorn``
+    gets a function that projects fresh logits, so only the solver holds
+    them (as its kernel).
     """
     validate_cloud(cloud)
     if partition is not None:

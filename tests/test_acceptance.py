@@ -331,7 +331,8 @@ def test_criterion_7_spectral_stage():
         emb = spectral_embed(y, r)
         s_true = np.linalg.svd(y, compute_uv=False)[:r]
         ok = ok and np.abs(emb.singular_values - s_true).max() / s_true[0] <= 1e-8
-        ok = ok and np.abs(emb.u.T @ emb.u - np.eye(r)).max() <= 1e-8
+        u = emb.z_emb / emb.singular_values
+        ok = ok and np.abs(u.T @ u - np.eye(r)).max() <= 1e-8
     const = TokenMatrix(
         feats=np.full((40, 16), 3.7), centers=rng.uniform(size=(40, 3))
     )

@@ -94,7 +94,7 @@ def slack_bytes(layer, n, m, edges, largest, cfg: PipelineConfig):
     - every layer: the labels (N); the centers and at most 8 more length-M
       vectors (11 M: curves, Sinkhorn's potentials and scalings, the
       importance scores); the vote graph and its adjacency (3.5 E: dst,
-      votes and data, and int32 indices); z_emb and u (2 M r);
+      votes and data, and int32 indices); z_emb (M r);
     - ``superpoint_pool``: the label sort's order, keys and words (5 N), and
       one chunk of at most ``CHUNK_POINTS`` + largest points, whose rows,
       segment means, hidden product and Fourier work are each at most
@@ -103,24 +103,23 @@ def slack_bytes(layer, n, m, edges, largest, cfg: PipelineConfig):
       (``TILE_BLOCKS`` + 1) R + 2 L rows of d (3 tiles), and the operator
       work, six arrays of at most (2 L + R)^2 entries;
     - ``spectral_embed``: G = Y^T Y (d^2), the probes, G W, the Ritz
-      problem and its SVD (4 d (r + 8)), and one TSQR block's copy, work and
-      Q (3 ``QR_BLOCK_ROWS`` r). Its (M, r) product and the product's
-      blocks' Q factors are alive only before z_emb and u exist, so the
-      2 M r of every layer covers them.
+      problem and its SVD (4 d (r + 8)), and the sign fix's transposed
+      magnitudes of the (M, r) basis (M r). The basis becomes z_emb in
+      place, so the M r of every layer covers it.
 
     The graph stage's point-level arrays (curves and votes, O(N W / stride))
     are left out: at M ~ 0.9 N and d = 256 they fit in the unused part of
     the three arrays, which the check then shows.
     """
     d, r = cfg.width, cfg.svd_rank
-    words = n + 11 * m + 3.5 * edges + 2 * m * r
+    words = n + 11 * m + 3.5 * edges + m * r
     if layer == "tokenizer.superpoint_pool":
         words += 5 * n + 4 * (tokenizer.CHUNK_POINTS + largest) * 2 * d
     elif layer == "enhancer.enhance":
         tile = (enhancer.TILE_BLOCKS + 1) * cfg.stride + 2 * cfg.window
         words += 3 * tile * d + 6 * (2 * cfg.window + cfg.stride) ** 2
     elif layer == "merger.spectral_embed":
-        words += d * d + 4 * d * (r + 8) + 3 * merger.QR_BLOCK_ROWS * r
+        words += d * d + 4 * d * (r + 8) + m * r
     return 8 * words
 
 
