@@ -22,6 +22,7 @@ from .errors import (
     InvalidShape,
     LengthMismatch,
     NonFiniteCoordinate,
+    NonFiniteExtent,
     NonFiniteFeature,
 )
 
@@ -151,6 +152,11 @@ def validate_cloud(cloud: PointCloud) -> None:
     row = _first_non_finite_row(pos)
     if row is not None:
         raise NonFiniteCoordinate(row)
+    with np.errstate(over="ignore"):
+        span = pos.max(axis=0).astype(np.float64) - pos.min(axis=0)
+    for axis, extent in zip("xyz", span):
+        if not np.isfinite(extent):
+            raise NonFiniteExtent(axis)
     if feat.ndim != 2 or feat.shape[0] != pos.shape[0]:
         raise FeatureRowMismatch(
             f"{pos.shape[0]} positions but features of shape {feat.shape}"

@@ -27,6 +27,14 @@ class NonFiniteFeature(SfcTokError):
         super().__init__(f"non-finite feature at row {index}")
 
 
+class NonFiniteExtent(SfcTokError):
+    def __init__(self, axis):
+        self.axis = axis
+        super().__init__(
+            f"positions span more than float64 holds along {axis}: max - min overflows"
+        )
+
+
 class FeatureRowMismatch(SfcTokError):
     pass
 

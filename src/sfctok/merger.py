@@ -77,13 +77,25 @@ def smooth_features(a_hat, tokens: TokenMatrix):
 
 
 def _fix_signs(u):
-    """Flip singular vectors so each u column's largest-|entry| is positive.
+    """Flip singular vectors so each u column's largest-|entry| is positive;
+    of tied entries the first one counts.
 
-    Flips the columns of ``u`` in place and returns it. The magnitudes are
-    taken into a transposed buffer, so the argmax needs no transposed copy.
+    Flips the columns of ``u`` in place and returns it. The argmax runs over
+    the row blocks of ``_row_blocks``: each block's first maximum per column
+    replaces the running one only where it is larger, which keeps the
+    column's first maximum, so the magnitudes take one block.
     """
-    idx = np.argmax(np.abs(u.T, out=np.empty(u.shape[::-1])), axis=1)
-    signs = np.sign(u[idx, np.arange(u.shape[1])])
+    cols = np.arange(u.shape[1])
+    best = np.full(u.shape[1], -1.0)  # below every magnitude
+    row = np.zeros(u.shape[1], dtype=np.intp)
+    for lo, hi in _row_blocks(*u.shape):
+        mag = np.abs(u[lo:hi])
+        idx = np.argmax(mag, axis=0)
+        top = mag[idx, cols]
+        larger = top > best
+        best[larger] = top[larger]
+        row[larger] = lo + idx[larger]
+    signs = np.sign(u[row, cols])
     signs[signs == 0] = 1.0
     u *= signs
     return u
@@ -163,15 +175,22 @@ def _randomized_svd(y, r, seed):
 
 
 def importance_scores(tokens: TokenMatrix, weights: SeededWeights):
-    """Per-token scalar from the importance MLP, softmaxed onto the simplex."""
-    from .tokenizer import mlp_project
+    """Per-token scalar from the importance MLP, softmaxed onto the simplex.
+
+    The MLP runs over the rows in ``head_blocks``, so its hidden layers
+    take one block, and the scores keep the whole-array product's bits.
+    """
+    from .tokenizer import head_blocks, mlp_project
 
     if not weights.shapes or weights.shapes[-1][1] != 1:
         raise DimensionMismatch(
             f"importance MLP layer shapes {list(weights.shapes)} must end in fan-out 1"
         )
-    raw = mlp_project(tokens.feats, weights)[:, 0]
-    raw = raw - raw.max()
+    feats = tokens.feats
+    raw = np.empty(feats.shape[0])
+    for lo, hi in head_blocks(feats.shape[0]):
+        raw[lo:hi] = mlp_project(feats[lo:hi], weights)[:, 0]
+    raw -= raw.max()
     e = np.exp(raw)
     return e / e.sum()
 

@@ -237,5 +237,8 @@ def build_vote_graph(positions, labels, centers, cfg: PipelineConfig):
     """
     point_curves = sfc.serialize_all(positions, b=cfg.bits)
     votes = graph.window_vote(labels, point_curves, cfg.graph_stride, cfg.graph_window)
+    del point_curves
+    vote_count = int(votes.votes.sum())
     coalesced = graph.coalesce(votes)
-    return graph.rerank_topk(coalesced, centers, cfg.graph_k), votes.n_edges
+    del votes  # the per-curve records are not needed past the coalesce
+    return graph.rerank_topk(coalesced, centers, cfg.graph_k), vote_count

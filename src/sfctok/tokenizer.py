@@ -46,9 +46,9 @@ from .errors import ConfigError, ShapeMismatch, WidthTooSmall
 # h + d = 512.
 CHUNK_POINTS = 1024
 
-# Superpoints per block of the MLP's last layer in superpoint_pool: a block's
-# output takes 2 MiB at d = 256, where the whole head's output would take
-# 87 MiB at M = 44.6k.
+# Superpoints per block of the MLP's last layer in superpoint_pool (and of
+# the importance MLP): a block's output takes 2 MiB at d = 256, where the
+# whole head's output would take 87 MiB at M = 44.6k.
 HEAD_ROWS = 1024
 
 # fourier_embed calls sin/cos on every ANCHOR_EVERY-th band and doubles the
@@ -195,6 +195,16 @@ def mlp_project(features, weights: SeededWeights):
     return x
 
 
+def head_blocks(rows):
+    """(lo, hi) bounds of consecutive blocks of ``HEAD_ROWS`` rows, the last
+    taking the remainder. A one-row product goes to gemv, which rounds
+    unlike gemm, so no block has a single row unless ``rows`` is 1: a
+    product taken block by block has the bits of the whole-array one."""
+    heads = np.arange(max(1, rows // HEAD_ROWS) + 1) * HEAD_ROWS
+    heads[-1] = rows
+    return list(zip(heads[:-1].tolist(), heads[1:].tolist()))
+
+
 def _split_head(weights: SeededWeights):
     """(hidden layers, last layer) of the point MLP."""
     if weights.n_layers < 1:
@@ -272,11 +282,7 @@ def superpoint_pool(
             means = segment_mean(lab - first, last + 1 - first, rows)
             hidden[first : last + 1] = means[:, :h]
             feats[first : last + 1] = means[:, h:]
-    # a one-row product goes to gemv, which rounds unlike gemm: the last
-    # block takes the remainder, so no block has a single row
-    heads = np.arange(max(1, part.n_superpoints // HEAD_ROWS) + 1) * HEAD_ROWS
-    heads[-1] = part.n_superpoints
-    for lo, hi in zip(heads[:-1], heads[1:]):
+    for lo, hi in head_blocks(part.n_superpoints):
         feats[lo:hi] += mlp_project(hidden[lo:hi], head)
     return TokenMatrix(feats=feats, centers=part.centers)
 

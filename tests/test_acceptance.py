@@ -97,10 +97,9 @@ def test_criterion_2_enhancer_identity():
 
 
 def _dict_coalesce(batch):
-    """Votes per (src, dst) pair; a raw batch's records are one vote each."""
-    votes = batch.votes if batch.coalesced else np.ones_like(batch.src)
+    """Votes per (src, dst) pair, summed over the batch's records."""
     acc = {}
-    for s, t, v in zip(batch.src, batch.dst, votes):
+    for s, t, v in zip(batch.src, batch.dst, batch.votes):
         acc[(int(s), int(t))] = acc.get((int(s), int(t)), 0) + int(v)
     return acc
 

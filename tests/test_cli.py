@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from sfctok.errors import (
     InvalidPartition,
     LengthMismatch,
     NonFiniteCoordinate,
+    NonFiniteExtent,
     NonFiniteFeature,
     SfcTokError,
     ShapeMismatch,
@@ -122,6 +124,17 @@ class TestPipeline:
         want = 0.0 if zero else (s[7] - s[8]) / s[0]
         assert abs(result.spectral_gap - want) <= 1e-12
         assert f"spectral_gap={result.spectral_gap:.6e}" in result.summary_lines()
+
+    def test_overflowing_extent_rejected_before_any_stage(self, no_stage_runs):
+        # once a StageError from the SVD, after a stream of RuntimeWarnings
+        cloud = make_scene(2000, seed=3)
+        pos = cloud.positions.copy()
+        pos[[5, 900], 1] = 1.7e308, -1.7e308
+        cfg = PipelineConfig(sample_n=2000, tokens=8, voxel_cell=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteExtent, match="along y"):
+                run_pipeline(dataclasses.replace(cloud, positions=pos), cfg)
 
     @pytest.mark.parametrize("array, row, error", [
         ("positions", 17, NonFiniteCoordinate),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from sfctok.errors import (
     InvalidShape,
     LengthMismatch,
     NonFiniteCoordinate,
+    NonFiniteExtent,
 )
 
 
@@ -36,6 +39,24 @@ def test_nan_position_reports_row():
     with pytest.raises(NonFiniteCoordinate) as exc:
         validate_cloud(PointCloud(positions=pos, features=np.ones((10, 1))))
     assert exc.value.index == 7
+
+
+@pytest.mark.parametrize("axis", range(3))
+def test_overflowing_extent_names_axis(axis):
+    # every coordinate is finite, but max - min is not
+    pos = np.zeros((5, 3))
+    pos[1, axis], pos[3, axis] = 1.7e308, -1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteExtent, match=f"along {'xyz'[axis]}:") as exc:
+            validate_cloud(PointCloud(positions=pos, features=np.ones((5, 1))))
+    assert exc.value.axis == "xyz"[axis]
+
+
+def test_float32_extent_taken_in_float64():
+    pos = np.zeros((2, 3), dtype=np.float32)
+    pos[:, 0] = 3e38, -3e38  # 6e38 overflows float32, not float64
+    validate_cloud(PointCloud(positions=pos, features=np.ones((2, 1))))
 
 
 def test_feature_row_mismatch():

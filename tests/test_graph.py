@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sfctok.config import PipelineConfig
 from sfctok.errors import (
     ConfigError,
     DimensionMismatch,
@@ -20,13 +21,14 @@ from sfctok.graph import (
     rerank_topk,
     window_vote,
 )
+from sfctok.pipeline import build_vote_graph
 from sfctok.sfc import serialize_all
 from sfctok.synth import make_scene
 from sfctok.tokenizer import voxel_superpoints
 
 
 def batch_from(edges):
-    """Raw batch casting ``v`` unit votes for each (s, t, v) edge."""
+    """Batch of ``v`` one-vote records for each (s, t, v) edge."""
     if edges:
         src, dst, votes = (np.array(col, dtype=np.int64) for col in zip(*edges))
     else:
@@ -35,9 +37,8 @@ def batch_from(edges):
 
 
 def edge_tuples(batch):
-    """(src, dst, votes) per record; a raw record is one vote."""
-    votes = batch.votes if batch.coalesced else np.ones_like(batch.src)
-    return list(zip(batch.src.tolist(), batch.dst.tolist(), votes.tolist()))
+    """(src, dst, votes) per record."""
+    return list(zip(batch.src.tolist(), batch.dst.tolist(), batch.votes.tolist()))
 
 
 class TestWindowVote:
@@ -64,7 +65,7 @@ class TestWindowVote:
         labels = rng.integers(0, 8, size=200)
         curves = serialize_all(rng.uniform(size=(200, 3)), b=8)
         counts = [
-            window_vote(labels, curves, 4, w).n_edges for w in (1, 2, 4, 8, 16)
+            int(window_vote(labels, curves, 4, w).votes.sum()) for w in (1, 2, 4, 8, 16)
         ]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
@@ -74,7 +75,7 @@ class TestWindowVote:
         curves = serialize_all(rng.uniform(size=(n, 3)), b=8)
         votes = window_vote(labels, curves, r, w)
         bound = 4 * -(-n // r) * (2 * w + 1)
-        assert votes.n_edges <= bound
+        assert votes.n_edges <= int(votes.votes.sum()) <= bound
         assert candidate_pair_count(n, r, w) <= bound
 
     def test_window_past_the_sequence_allocates_nothing(self, rng):
@@ -91,11 +92,11 @@ class TestWindowVote:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert np.array_equal(wide.src, at_n.src) and np.array_equal(wide.dst, at_n.dst)
+        assert edge_tuples(wide) == edge_tuples(at_n)
 
 
 def per_delta_votes(labels, curves, stride, radius):
-    """(src, dst) records from one pass per curve and window offset."""
+    """(src, dst) one-vote records from one pass per curve and window offset."""
     n = labels.shape[0]
     anchors = np.arange(0, n, stride)
     src, dst = [], []
@@ -110,8 +111,20 @@ def per_delta_votes(labels, curves, stride, radius):
     return src, dst
 
 
+def per_curve_counts(labels, curves, stride, radius):
+    """(src, dst, votes) of each curve's ``per_delta_votes`` records grouped by
+    pair in a dict, each curve's pairs in (src, dst) order, curve after curve."""
+    out = []
+    for perm in curves:
+        acc = {}
+        for s, t in zip(*per_delta_votes(labels, [perm], stride, radius)):
+            acc[(int(s), int(t))] = acc.get((int(s), int(t)), 0) + 1
+        out += [(s, t, v) for (s, t), v in sorted(acc.items())]
+    return out
+
+
 class TestWindowVoteOracle:
-    """Records in curve, then offset, then anchor order, as one loop casts them."""
+    """Each curve's records of one per-offset loop, counted per pair."""
 
     @pytest.mark.parametrize(
         "n, stride, radius",
@@ -123,9 +136,11 @@ class TestWindowVoteOracle:
         labels = rng.integers(-1, 12, size=n)
         curves = serialize_all(rng.uniform(size=(n, 3)), b=8)
         votes = window_vote(labels, curves, stride, radius)
-        src, dst = per_delta_votes(labels, curves, stride, radius)
-        assert votes.src.tolist() == src and votes.dst.tolist() == dst
-        assert votes.src.dtype == votes.dst.dtype == np.int64
+        assert edge_tuples(votes) == per_curve_counts(labels, curves, stride, radius)
+        src, _ = per_delta_votes(labels, curves, stride, radius)
+        assert int(votes.votes.sum()) == len(src)
+        assert votes.src.dtype == votes.dst.dtype == votes.votes.dtype == np.int64
+        assert not votes.coalesced
 
     @pytest.mark.parametrize("stride, radius", [(1, 2), (3, 4), (5, 9)])
     def test_sentinels_at_both_ends(self, rng, stride, radius):
@@ -137,9 +152,33 @@ class TestWindowVoteOracle:
         labels[perm[:3]] = labels[perm[-2:]] = -1
         curves = [perm, np.arange(n)]
         votes = window_vote(labels, curves, stride, radius)
-        src, dst = per_delta_votes(labels, curves, stride, radius)
-        assert votes.src.tolist() == src and votes.dst.tolist() == dst
+        assert edge_tuples(votes) == per_curve_counts(labels, curves, stride, radius)
+        src, _ = per_delta_votes(labels, curves, stride, radius)
+        assert int(votes.votes.sum()) == len(src)
         assert votes.n_edges > 0
+
+    def test_graph_matches_coalesced_oracle_records(self):
+        # the pipeline's graph is the one re-ranked from the oracle's
+        # one-vote records, coalesced
+        cloud = make_scene(1500, seed=3)
+        part = voxel_superpoints(cloud, 0.5)
+        cfg = PipelineConfig(graph_stride=8, graph_window=16, graph_k=6)
+        g, vote_count = build_vote_graph(cloud.positions, part.labels, part.centers, cfg)
+        curves = serialize_all(cloud.positions, b=cfg.bits)
+        src, dst = per_delta_votes(part.labels, curves, 8, 16)
+        raw = VoteBatch(src=np.array(src, dtype=np.int64), dst=np.array(dst, dtype=np.int64))
+        want = rerank_topk(coalesce(raw), part.centers, 6)
+        assert vote_count == len(src)
+        assert np.array_equal(g.indptr, want.indptr)
+        assert np.array_equal(g.dst, want.dst)
+        assert np.array_equal(g.votes, want.votes)
+
+    @pytest.mark.parametrize("bad", [-2, 3_037_000_499])
+    def test_ids_that_cannot_pack_rejected(self, bad):
+        # as in coalesce: ids below the sentinel, or too large for n * n
+        window_vote(np.array([0, 3_037_000_498]), [np.arange(2)], 1, 1)
+        with pytest.raises(InvalidVoteIds):
+            window_vote(np.array([0, bad]), [np.arange(2)], 1, 1)
 
 
 def dict_coalesce(edges):
@@ -189,11 +228,24 @@ class TestCoalesce:
         assert edge_tuples(out) == dict_coalesce(edges)
         assert int(out.votes.sum()) == int(votes.sum())
 
-    def test_coalesced_batch_rejected(self):
-        # a coalesced batch's records are not unit votes any more
-        out = coalesce(batch_from([(0, 1, 3)]))
-        with pytest.raises(ValueError):
-            coalesce(out)
+    def test_counted_records_summed(self):
+        # records that carry votes, as window_vote's curves do, sum them
+        batch = VoteBatch(
+            src=np.array([0, 2, 0, 2, 0]),
+            dst=np.array([1, 0, 1, 0, 2]),
+            votes=np.array([3, 1, 2, 4, 7]),
+        )
+        assert not batch.coalesced
+        out = coalesce(batch)
+        assert out.coalesced
+        assert edge_tuples(out) == [(0, 1, 5), (0, 2, 7), (2, 0, 5)]
+
+    def test_coalesce_twice_is_idempotent(self):
+        for edges in [], [(0, 1, 2)], [(3, 1, 1), (0, 2, 4), (3, 1, 2)]:
+            once = coalesce(batch_from(edges))
+            twice = coalesce(once)
+            assert twice.coalesced
+            assert edge_tuples(twice) == edge_tuples(once) == dict_coalesce(edges)
 
     def test_negative_id_rejected(self):
         with pytest.raises(InvalidVoteIds):
@@ -415,11 +467,6 @@ class TestConfigErrors:
         perm = np.arange(4)
         with pytest.raises(ConfigError, match="stride and radius"):
             window_vote(np.array([0, 0, 1, 1]), [perm], stride, radius)
-
-    def test_coalesce_twice(self):
-        out = coalesce(batch_from([(0, 1, 2)]))
-        with pytest.raises(ConfigError, match="already coalesced"):
-            coalesce(out)
 
     def test_rerank_raw_batch(self):
         with pytest.raises(ConfigError, match="must be coalesced"):

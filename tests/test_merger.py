@@ -18,7 +18,7 @@ from sfctok.errors import (
     NonFiniteKernel,
     RankTooLarge,
 )
-from sfctok import merger
+from sfctok import merger, tokenizer
 from sfctok.merger import (
     DENSE_SVD_ROWS,
     _fix_signs,
@@ -176,9 +176,10 @@ class TestSpectralEmbed:
         y = rng.normal(size=(m, d))
         p = r + 8
         # in float64 words, besides y: the (M, r) product, which becomes
-        # z_emb, and the sign fix's transposed magnitudes of it (2 m r); G
-        # (d^2); the probe, G W, the Ritz problem and its SVD (4 d p)
-        budget = 8 * (2 * m * r + d * d + 4 * d * p)
+        # z_emb (m r); the sign fix's block of magnitudes and the argmax's
+        # copy of it (2 BLOCK_ENTRIES); G (d^2); the probe, G W, the Ritz
+        # problem and its SVD (4 d p)
+        budget = 8 * (m * r + 2 * merger.BLOCK_ENTRIES + d * d + 4 * d * p)
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
@@ -188,6 +189,31 @@ class TestSpectralEmbed:
             tracemalloc.stop()
         assert emb.z_emb.shape == (m, r)
         assert peak <= budget, (peak / 2**20, budget / 2**20)
+
+    @pytest.mark.parametrize("rows_per_block", [1, 3, 1000])
+    def test_sign_fix_first_of_tied_maxima_wins(self, rows_per_block, monkeypatch):
+        # each column's largest |entry| comes twice with opposite signs, in
+        # one block or across blocks; the first decides the sign
+        monkeypatch.setattr(merger, "BLOCK_ENTRIES", rows_per_block * 4)
+        u = np.array(
+            [
+                [0.5, -0.2, 0.1, 0.0],
+                [-0.5, 0.9, -0.3, 0.0],
+                [0.1, -0.9, 0.3, 0.0],
+                [0.2, 0.3, -0.3, 0.0],
+            ]
+        )
+        got = _fix_signs(u.copy())
+        assert np.array_equal(got, u * [1.0, 1.0, -1.0, 1.0])
+
+    @pytest.mark.parametrize("m", [1, 7, 513, 20_000])
+    def test_sign_fix_matches_whole_array_argmax(self, m, rng):
+        u = rng.normal(size=(m, 5))
+        u[m // 2] = 2 * np.abs(u).max() * np.array([1, -1, 1, -1, 1])  # ties
+        u[-1] = -u[m // 2]
+        idx = np.argmax(np.abs(u), axis=0)
+        signs = np.sign(u[idx, np.arange(5)])
+        assert np.array_equal(_fix_signs(u.copy()), u * signs)
 
     def test_next_singular_value_exact_branch(self, rng):
         y = rng.normal(size=(300, 40))
@@ -306,6 +332,17 @@ class TestImportance:
         s = make_tokens(rng, m=10, d=8)
         w = seeded_init(5, [(8, 4), (4, 1)])
         assert np.array_equal(importance_scores(s, w), importance_scores(s, w))
+
+    @pytest.mark.parametrize("m", [1, 1025, 2049])
+    def test_blocks_bit_equal_to_whole_array(self, m, rng):
+        # at M = 1 (mod HEAD_ROWS) a plain cut would leave a one-row block,
+        # which numpy hands to gemv, whose rounding differs from gemm's
+        assert m % tokenizer.HEAD_ROWS == 1
+        s = make_tokens(rng, m=m, d=32)
+        w = seeded_init(5, [(32, 16), (16, 1)])
+        raw = tokenizer.mlp_project(s.feats, w)[:, 0]
+        e = np.exp(raw - raw.max())
+        assert np.array_equal(importance_scores(s, w), e / e.sum())
 
     @pytest.mark.parametrize("shapes", [[(8, 4), (4, 5)], [(8, 2)], []])
     def test_needs_one_output(self, rng, shapes):
